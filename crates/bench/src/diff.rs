@@ -3,10 +3,10 @@
 //! pipeline and rendered as `BENCH_difftest.json`.
 //!
 //! Thin driver over [`safe_tinyos::difftest`]: this module owns the
-//! grid shape (seeds through [`ExperimentRunner::run_items`], apps
-//! through [`ExperimentRunner::run_grid`]), the verdict roll-ups, and
-//! the JSON/table rendering. Everything downstream of the seeds is a
-//! pure function, so serial and parallel runs emit identical bytes.
+//! grid shape (one [`ExperimentRunner::run_items`] item per seed or
+//! app), the verdict roll-ups, and the JSON/table rendering.
+//! Everything downstream of the seeds is a pure function, so serial and
+//! parallel runs emit identical bytes.
 
 use safe_tinyos::difftest::{self, DiffCase, DiffConfig, DiffPhase, DiffVerdict, SubjectReport};
 use safe_tinyos::{Pipeline, PRESET_NAMES};
@@ -58,17 +58,11 @@ pub fn app_reports(
     seconds: u64,
     cfg: &DiffConfig,
 ) -> Vec<SubjectReport> {
-    let grid = runner.run_grid(apps, presets, |job| {
-        difftest::diff_app(runner.session(), &job.spec, job.item, seconds, cfg)
-            .unwrap_or_else(|e| panic!("{} / {}: {e}", job.spec.name, job.item.name()))
-    });
-    apps.iter()
-        .zip(grid)
-        .map(|(app, rows)| SubjectReport {
-            subject: app.to_string(),
-            cases: rows.into_iter().flatten().collect(),
-        })
-        .collect()
+    runner.run_items(apps, |_, &app| {
+        let spec = tosapps::spec(app).unwrap_or_else(|| panic!("unknown app {app}"));
+        difftest::diff_app(runner.session(), &spec, presets, seconds, cfg)
+            .unwrap_or_else(|e| panic!("{app}: {e}"))
+    })
 }
 
 /// Per-preset verdict tallies split by comparison phase.

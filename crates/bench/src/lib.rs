@@ -67,13 +67,23 @@ pub fn row(label: &str, cells: &[String]) -> String {
 /// pass the values they need down explicitly — library code takes plain
 /// parameters and never reads the environment itself.
 pub mod knobs {
+    use std::str::FromStr;
     use std::sync::OnceLock;
 
-    fn parse_u64(name: &str, default: u64) -> u64 {
-        std::env::var(name)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
+    /// Reads knob `name` through `lookup`. Unset or blank selects
+    /// `default`; anything else must parse as a `T`.
+    fn knob<T: FromStr>(
+        lookup: &impl Fn(&str) -> Option<String>,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
+        match lookup(name) {
+            Some(v) if !v.trim().is_empty() => v
+                .trim()
+                .parse()
+                .map_err(|_| format!("{name}: malformed value `{v}`")),
+            _ => Ok(default),
+        }
     }
 
     /// The typed view of every `STOS_*` run-shaping variable.
@@ -123,39 +133,128 @@ pub mod knobs {
     impl Knobs {
         /// The process-wide knob set, parsed from the environment on
         /// first use and frozen thereafter.
+        ///
+        /// # Panics
+        ///
+        /// Panics with [`Knobs::parse`]'s error on a malformed knob: a
+        /// typo must not silently run the default experiment.
         pub fn from_env() -> &'static Knobs {
             static CELL: OnceLock<Knobs> = OnceLock::new();
-            CELL.get_or_init(Knobs::parse)
+            CELL.get_or_init(|| {
+                Knobs::parse(|name| {
+                    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+                })
+                .unwrap_or_else(|e| panic!("{e}"))
+            })
         }
 
-        fn parse() -> Knobs {
-            let fleet_motes = {
-                let parsed: Option<Vec<usize>> = std::env::var("STOS_MOTES").ok().map(|s| {
-                    s.split(',')
-                        .filter(|t| !t.trim().is_empty())
-                        .filter_map(|t| t.trim().parse().ok())
-                        .collect()
-                });
-                match parsed {
-                    Some(v) if !v.is_empty() => v,
-                    _ => vec![10, 100, 1000],
-                }
+        /// Parses every knob from `lookup` (variable name → value).
+        ///
+        /// # Errors
+        ///
+        /// Names the knob and its value when a value does not parse,
+        /// when `STOS_MOTES` has an entry that is not a positive mote
+        /// count, or when `STOS_SPEEDUP_MIN` is not a positive number.
+        pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Knobs, String> {
+            let fleet_motes = match lookup("STOS_MOTES") {
+                Some(v) if !v.trim().is_empty() => v
+                    .split(',')
+                    .map(|t| match t.trim().parse() {
+                        Ok(n) if n > 0 => Ok(n),
+                        _ => Err(format!(
+                            "STOS_MOTES: bad entry `{t}` in `{v}` \
+                             (expected comma-separated positive mote counts)"
+                        )),
+                    })
+                    .collect::<Result<_, _>>()?,
+                _ => vec![10, 100, 1000],
             };
-            Knobs {
-                sim_seconds: parse_u64("STOS_SECONDS", 10),
-                fault_sites: parse_u64("STOS_FAULTS", 16) as usize,
-                diff_seeds: parse_u64("STOS_DIFF_SEEDS", 50),
-                diff_base: parse_u64("STOS_DIFF_BASE", 1),
-                torn_sites: parse_u64("STOS_TORN", 4) as usize,
-                kernel_cycles: parse_u64("STOS_KERNEL_CYCLES", 200_000_000),
-                speedup_min: std::env::var("STOS_SPEEDUP_MIN")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|f: &f64| f.is_finite() && *f > 0.0)
-                    .unwrap_or(10.0),
+            let speedup_min: f64 = knob(&lookup, "STOS_SPEEDUP_MIN", 10.0)?;
+            if !(speedup_min.is_finite() && speedup_min > 0.0) {
+                return Err(format!(
+                    "STOS_SPEEDUP_MIN: `{speedup_min}` is not a positive number"
+                ));
+            }
+            Ok(Knobs {
+                sim_seconds: knob(&lookup, "STOS_SECONDS", 10)?,
+                fault_sites: knob(&lookup, "STOS_FAULTS", 16)?,
+                diff_seeds: knob(&lookup, "STOS_DIFF_SEEDS", 50)?,
+                diff_base: knob(&lookup, "STOS_DIFF_BASE", 1)?,
+                torn_sites: knob(&lookup, "STOS_TORN", 4)?,
+                kernel_cycles: knob(&lookup, "STOS_KERNEL_CYCLES", 200_000_000)?,
+                speedup_min,
                 fleet_motes,
-                fleet_seeds: parse_u64("STOS_FLEET_SEEDS", 2),
-                fleet_seconds: parse_u64("STOS_FLEET_SECONDS", 4),
+                fleet_seeds: knob(&lookup, "STOS_FLEET_SEEDS", 2)?,
+                fleet_seconds: knob(&lookup, "STOS_FLEET_SECONDS", 4)?,
+            })
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::Knobs;
+
+        fn parse(vars: &[(&str, &str)]) -> Result<Knobs, String> {
+            Knobs::parse(|name| {
+                vars.iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| v.to_string())
+            })
+        }
+
+        #[test]
+        fn unset_and_blank_knobs_take_defaults() {
+            for vars in [&[][..], &[("STOS_SECONDS", ""), ("STOS_MOTES", " ")]] {
+                let k = parse(vars).unwrap();
+                assert_eq!(k.sim_seconds, 10);
+                assert_eq!(k.fault_sites, 16);
+                assert_eq!(k.fleet_motes, vec![10, 100, 1000]);
+                assert_eq!(k.speedup_min, 10.0);
+            }
+        }
+
+        #[test]
+        fn well_formed_knobs_parse() {
+            let k = parse(&[
+                ("STOS_SECONDS", "2"),
+                ("STOS_DIFF_SEEDS", " 20 "),
+                ("STOS_MOTES", "10, 100"),
+                ("STOS_SPEEDUP_MIN", "2.5"),
+            ])
+            .unwrap();
+            assert_eq!(k.sim_seconds, 2);
+            assert_eq!(k.diff_seeds, 20);
+            assert_eq!(k.fleet_motes, vec![10, 100]);
+            assert_eq!(k.speedup_min, 2.5);
+        }
+
+        #[test]
+        fn malformed_knobs_are_errors_naming_knob_and_value() {
+            for (name, value) in [
+                ("STOS_SECONDS", "ten"),
+                ("STOS_FAULTS", "-1"),
+                ("STOS_DIFF_BASE", "1e3"),
+                ("STOS_FLEET_SECONDS", "4s"),
+                ("STOS_SPEEDUP_MIN", "fast"),
+                ("STOS_SPEEDUP_MIN", "0"),
+                ("STOS_SPEEDUP_MIN", "inf"),
+            ] {
+                let err = parse(&[(name, value)]).unwrap_err();
+                assert!(
+                    err.contains(name) && err.contains(value),
+                    "{name}={value}: {err}"
+                );
+            }
+        }
+
+        #[test]
+        fn bad_mote_entries_are_errors_not_dropped() {
+            for (value, entry) in [("10,x", "x"), ("10,,100", ""), ("0", "0"), ("10,-5", "-5")] {
+                let err = parse(&[("STOS_MOTES", value)]).unwrap_err();
+                assert!(
+                    err.contains("STOS_MOTES") && err.contains(&format!("`{entry}`")),
+                    "{value}: {err}"
+                );
             }
         }
     }

@@ -36,6 +36,12 @@
 //! check-elimination decisions are audited against the fault model they
 //! must answer to.
 //!
+//! Every run is a pure function of the image and the fault plan, and a
+//! subject's fault sites depend on the subject alone, so the oracle
+//! simulates each distinct image of a subject once per plan however
+//! many presets link to it (the reference included), and builds each
+//! distinct canonical spec once.
+//!
 //! Each divergence lands in one of three classes:
 //!
 //! * [`DiffVerdict::Miscompile`] — observable behavior diverged on an
@@ -70,16 +76,17 @@
 //!     .all(|c| c.verdict != DiffVerdict::Miscompile));
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, OnceLock};
 
 use ccured::triage::{self, RunObservation, Verdict};
 use mcu::faults::{self, FaultKind, FaultPlan, SplitMix64};
-use mcu::{Fault, Machine, RunState};
+use mcu::{BlockCache, Fault, Image, Machine, RunState};
 use tcil::types::{size_of, Type};
 use tcil::{CompileError, Program};
 use tosapps::AppSpec;
 
-use crate::{campaign, prepare_machine, Build, Pipeline};
+use crate::{campaign, Build, Pipeline};
 
 /// Configuration of one differential comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,10 +161,15 @@ pub struct DiffObservation {
 impl DiffObservation {
     /// Captures `m` after a run of `build`.
     pub fn capture(build: &Build, m: &Machine) -> DiffObservation {
+        DiffObservation::observe(&build.image, &comparable_globals(build), m)
+    }
+
+    /// Captures `m` after a run of `image`, snapshotting `globals`.
+    fn observe(image: &Image, globals: &[Cell], m: &Machine) -> DiffObservation {
         let (fault, fault_detail) = match &m.fault {
             Some(Fault::SafetyTrap(flid)) => (
                 Some(FaultTag::Safety),
-                match build.image.flid_table.get(flid) {
+                match image.flid_table.get(flid) {
                     Some(msg) => format!("flid {flid}: {msg}"),
                     None => format!("flid {flid}: <no table entry>"),
                 },
@@ -172,7 +184,13 @@ impl DiffObservation {
             uart: m.uart_out.clone(),
             radio: m.radio_out.iter().map(|&(_, b)| b).collect(),
             led_transitions: m.devices.leds.transitions,
-            ram: ram_snapshot(build, m),
+            ram: globals
+                .iter()
+                .map(|c| {
+                    let bytes = (0..c.size).map(|i| m.ram_peek(c.addr.wrapping_add(i)));
+                    (c.name.clone(), bytes.collect())
+                })
+                .collect(),
         }
     }
 
@@ -187,30 +205,34 @@ impl DiffObservation {
     }
 }
 
-/// Reads the final bytes of every integer-typed, non-runtime global.
-/// Pointer-typed and struct globals hold layout-dependent values
-/// (addresses) and are excluded by construction.
-fn ram_snapshot(build: &Build, m: &Machine) -> BTreeMap<String, Vec<u8>> {
-    let mut snap = BTreeMap::new();
-    for g in &build.program.globals {
-        if g.name.starts_with("__") {
-            continue;
-        }
-        let comparable = matches!(&g.ty, Type::Int(_))
-            || matches!(&g.ty, Type::Array(elem, _) if matches!(**elem, Type::Int(_)));
-        if !comparable {
-            continue;
-        }
-        let Some(addr) = build.image.find_global_addr(&g.name) else {
-            continue;
-        };
-        let size = size_of(&g.ty, &build.program.structs) as u16;
-        let bytes = (0..size)
-            .map(|i| m.ram_peek(addr.wrapping_add(i)))
-            .collect();
-        snap.insert(g.name.clone(), bytes);
-    }
-    snap
+/// A global the RAM snapshot reads: its name, placed address and size.
+struct Cell {
+    name: String,
+    addr: u16,
+    size: u16,
+}
+
+/// Every integer-typed, non-runtime global of `build` that its image
+/// places, in declaration order. Pointer-typed and struct globals hold
+/// layout-dependent values (addresses) and are excluded by construction.
+fn comparable_globals(build: &Build) -> Vec<Cell> {
+    build
+        .program
+        .globals
+        .iter()
+        .filter(|g| {
+            !g.name.starts_with("__")
+                && (matches!(&g.ty, Type::Int(_))
+                    || matches!(&g.ty, Type::Array(elem, _) if matches!(**elem, Type::Int(_))))
+        })
+        .filter_map(|g| {
+            Some(Cell {
+                name: g.name.clone(),
+                addr: build.image.find_global_addr(&g.name)?,
+                size: size_of(&g.ty, &build.program.structs) as u16,
+            })
+        })
+        .collect()
 }
 
 /// How one comparison point turned out.
@@ -351,18 +373,35 @@ enum Workload<'a> {
 }
 
 impl Workload<'_> {
-    /// A machine set up for `build` and the run horizon in cycles.
-    fn machine(&self, build: &Build) -> (Machine, u64) {
-        match self {
-            Workload::Raw { budget } => {
-                let mut m = Machine::new(&build.image);
-                if m.engine() == mcu::Engine::Bt {
-                    m.set_block_cache(build.block_cache());
-                }
-                (m, *budget)
-            }
-            Workload::App { spec, seconds, .. } => prepare_machine(build, spec, *seconds),
+    /// Runs `image` to the horizon, applying `plan` (if any) when the
+    /// machine reaches its cycle. Under the block engine every machine
+    /// of one image shares the decode in `blocks`.
+    fn run(
+        &self,
+        image: &Image,
+        blocks: &OnceLock<Arc<BlockCache>>,
+        plan: Option<&FaultPlan>,
+    ) -> Machine {
+        let mut m = Machine::new(image);
+        if m.engine() == mcu::Engine::Bt {
+            m.set_block_cache(
+                blocks
+                    .get_or_init(|| Arc::new(BlockCache::build(image)))
+                    .clone(),
+            );
         }
+        let until = match self {
+            Workload::Raw { budget } => *budget,
+            Workload::App { spec, seconds, .. } => {
+                crate::load_context(&mut m, image.profile.clock_hz, spec, *seconds)
+            }
+        };
+        if let Some(plan) = plan {
+            m.run(plan.at_cycle.min(until));
+            faults::apply(&mut m, plan);
+        }
+        m.run(until);
+        m
     }
 
     /// Reduces an observation to what this workload makes comparable
@@ -378,17 +417,6 @@ impl Workload<'_> {
         }
         obs
     }
-}
-
-/// Runs `build` to the horizon, optionally applying `plan` mid-run.
-fn run_build(build: &Build, workload: &Workload<'_>, plan: Option<&FaultPlan>) -> Machine {
-    let (mut m, until) = workload.machine(build);
-    if let Some(plan) = plan {
-        m.run(plan.at_cycle.min(until));
-        faults::apply(&mut m, plan);
-    }
-    m.run(until);
-    m
 }
 
 /// `a` is a prefix of `b`.
@@ -493,46 +521,74 @@ fn fnv1a(s: &str) -> u64 {
 /// campaign enumerator uses: far out of range, plausible upset).
 const HIGH_MASKS: [u8; 4] = [0x80, 0xC0, 0xA0, 0xE0];
 
-/// Compares one preset build against the reference build over a
-/// workload: the golden comparison plus (when the reference's golden
-/// run is clean) `cfg.fault_sites` injected-replay comparisons.
-fn diff_builds(
+/// One distinct build of a subject, reduced to what the comparison
+/// reads: which distinct image it linked to, and its comparable globals.
+struct Variant {
+    /// The canonical spec that built it.
+    spec: String,
+    /// Index into the subject's distinct images.
+    image: usize,
+    /// What [`DiffObservation`]'s RAM snapshot reads.
+    globals: Vec<Cell>,
+}
+
+/// The one diff core behind both subject populations: compares every
+/// preset against the reference over `workload`, with `build` compiling
+/// a pipeline for this subject.
+///
+/// Every case is a pure function of the two images involved and the
+/// subject's fault sites, so nothing is computed twice:
+///
+/// 1. The reference and then each preset is built, once per distinct
+///    canonical spec; each build is cut down to its image (deduplicated
+///    across builds) and its comparable globals — plus, for the
+///    reference, its fault targets — and dropped.
+/// 2. Each distinct image runs its golden machine once, which every
+///    pipeline linking to it observes through its own globals, and then
+///    each fault plan some preset needs once, keeping only the triage
+///    verdict. One machine is live at a time.
+/// 3. Cases are emitted from the stored results in preset order, then
+///    phase order, then site order.
+fn diff_subject(
     subject: &str,
-    reference: &Build,
-    preset_build: &Build,
-    preset_name: &str,
+    presets: &[Pipeline],
     workload: &Workload<'_>,
     cfg: &DiffConfig,
-) -> Vec<DiffCase> {
-    let mut cases = Vec::new();
-
-    let ref_machine = run_build(reference, workload, None);
-    let preset_machine = run_build(preset_build, workload, None);
-    let ref_obs = workload.comparable(DiffObservation::capture(reference, &ref_machine));
-    let preset_obs = workload.comparable(DiffObservation::capture(preset_build, &preset_machine));
-    let ref_golden = RunObservation::capture(&ref_machine);
-    let preset_golden = RunObservation::capture(&preset_machine);
-
-    let (verdict, detail) = classify_golden(&ref_obs, &preset_obs);
-    cases.push(DiffCase {
-        subject: subject.to_string(),
-        preset: preset_name.to_string(),
-        phase: DiffPhase::Golden,
-        site: String::new(),
-        verdict,
-        detail,
-    });
-
-    // Fault-outcome comparison only makes sense against a clean golden
-    // reference: a subject that already traps exercises the check paths
-    // in the golden comparison itself.
-    if cfg.fault_sites == 0 || ref_obs.fault.is_some() {
-        return cases;
+    mut build: impl FnMut(&Pipeline) -> Result<Build, CompileError>,
+) -> Result<SubjectReport, CompileError> {
+    let reference = reference_pipeline();
+    let mut variants: Vec<Variant> = Vec::new();
+    let mut images: Vec<Image> = Vec::new();
+    let mut targets = Vec::new();
+    // `of[0]` is the reference's variant (always 0, on image 0), and
+    // `of[1 + i]` preset `i`'s.
+    let mut of = Vec::with_capacity(presets.len() + 1);
+    for pipeline in std::iter::once(&reference).chain(presets) {
+        let spec = pipeline.spec();
+        if let Some(v) = variants.iter().position(|v| v.spec == spec) {
+            of.push(v);
+            continue;
+        }
+        let b = build(pipeline)?;
+        if variants.is_empty() {
+            targets = campaign::target_names(&b);
+        }
+        let globals = comparable_globals(&b);
+        let image = match images.iter().position(|i| *i == b.image) {
+            Some(i) => i,
+            None => {
+                images.push(b.image);
+                images.len() - 1
+            }
+        };
+        of.push(variants.len());
+        variants.push(Variant {
+            spec,
+            image,
+            globals,
+        });
     }
-    let targets = campaign::target_names(reference);
-    if targets.is_empty() {
-        return cases;
-    }
+
     // Injections land at *boot* — the corrupted cell holds its upset
     // value before either build executes an instruction. Mid-run
     // injection cannot be compared fairly across builds: the same cycle
@@ -547,46 +603,102 @@ fn diff_builds(
     // parity becomes a pure function of which checks survived.
     // (Mid-run upsets are the fault_injection campaign's axis, which
     // triages each build against its own golden run and never compares
-    // timing across builds.)
+    // timing across builds.) The site stream depends on the subject
+    // alone, so every preset faces the same sites.
     let mut rng = SplitMix64::new(cfg.seed ^ fnv1a(subject));
-    for _ in 0..cfg.fault_sites {
-        let name = &targets[rng.below(targets.len() as u64) as usize];
-        let mask = HIGH_MASKS[rng.below(HIGH_MASKS.len() as u64) as usize];
-        // The same logical fault lands in both builds by name; a build
-        // whose optimizer removed the cell outright cannot receive it.
-        let (Some(ref_addr), Some(preset_addr)) = (
-            reference.image.find_global_addr(name),
-            preset_build.image.find_global_addr(name),
-        ) else {
+    let sites: Vec<(&str, u8)> = match targets.len() {
+        0 => Vec::new(),
+        n => (0..cfg.fault_sites)
+            .map(|_| {
+                let name = targets[rng.below(n as u64) as usize].as_str();
+                let mask = HIGH_MASKS[rng.below(HIGH_MASKS.len() as u64) as usize];
+                (name, mask)
+            })
+            .collect(),
+    };
+    // The same logical fault lands in both builds by name; a build
+    // whose optimizer removed the cell outright cannot receive it.
+    let placed = |image: usize, name: &str| {
+        images[0].find_global_addr(name).is_some() && images[image].find_global_addr(name).is_some()
+    };
+    let mut plans: BTreeSet<(usize, &str, u8)> = BTreeSet::new();
+    for &v in &of[1..] {
+        let image = variants[v].image;
+        for &(name, mask) in sites.iter().filter(|(name, _)| placed(image, name)) {
+            plans.insert((0, name, mask));
+            plans.insert((image, name, mask));
+        }
+    }
+
+    let mut observed: Vec<Option<DiffObservation>> = vec![None; variants.len()];
+    let mut verdicts: BTreeMap<(usize, &str, u8), Verdict> = BTreeMap::new();
+    let mut injecting = false;
+    for (ix, image) in images.iter().enumerate() {
+        let blocks = OnceLock::new();
+        let golden = {
+            let m = workload.run(image, &blocks, None);
+            for (v, variant) in variants.iter().enumerate() {
+                if variant.image == ix {
+                    let obs = DiffObservation::observe(image, &variant.globals, &m);
+                    observed[v] = Some(workload.comparable(obs));
+                }
+            }
+            RunObservation::capture(&m)
+        };
+        // Fault-outcome comparison only makes sense against a clean
+        // golden reference: a subject that already traps exercises the
+        // check paths in the golden comparison itself.
+        if ix == 0 {
+            injecting = observed[0].as_ref().is_some_and(|o| o.fault.is_none());
+        }
+        if !injecting {
             continue;
-        };
-        let plan_for = |addr: u16| FaultPlan {
-            at_cycle: 0,
-            kind: FaultKind::BitFlip { addr, mask },
-        };
-        let ref_run = run_build(reference, workload, Some(&plan_for(ref_addr)));
-        let preset_run = run_build(preset_build, workload, Some(&plan_for(preset_addr)));
-        let ref_verdict = triage::triage(
-            &ref_golden,
-            &RunObservation::capture(&ref_run),
-            &reference.image.flid_table,
-        );
-        let preset_verdict = triage::triage(
-            &preset_golden,
-            &RunObservation::capture(&preset_run),
-            &preset_build.image.flid_table,
-        );
-        let (verdict, detail) = classify_injected(&ref_verdict, &preset_verdict);
-        cases.push(DiffCase {
+        }
+        for &(_, name, mask) in plans.iter().filter(|p| p.0 == ix) {
+            let addr = image.find_global_addr(name).expect("placed");
+            let plan = FaultPlan {
+                at_cycle: 0,
+                kind: FaultKind::BitFlip { addr, mask },
+            };
+            let run = RunObservation::capture(&workload.run(image, &blocks, Some(&plan)));
+            let verdict = triage::triage(&golden, &run, &image.flid_table);
+            verdicts.insert((ix, name, mask), verdict);
+        }
+    }
+
+    let reference_obs = observed[0].as_ref().expect("reference observed");
+    let mut cases = Vec::new();
+    for (preset, &v) in presets.iter().zip(&of[1..]) {
+        let case = |phase, site, (verdict, detail)| DiffCase {
             subject: subject.to_string(),
-            preset: preset_name.to_string(),
-            phase: DiffPhase::Injected,
-            site: format!("bitflip@{name}^{mask:02x}@boot"),
+            preset: preset.name().to_string(),
+            phase,
+            site,
             verdict,
             detail,
-        });
+        };
+        let obs = observed[v].as_ref().expect("every variant observed");
+        cases.push(case(
+            DiffPhase::Golden,
+            String::new(),
+            classify_golden(reference_obs, obs),
+        ));
+        if !injecting {
+            continue;
+        }
+        let image = variants[v].image;
+        for &(name, mask) in sites.iter().filter(|(name, _)| placed(image, name)) {
+            cases.push(case(
+                DiffPhase::Injected,
+                format!("bitflip@{name}^{mask:02x}@boot"),
+                classify_injected(&verdicts[&(0, name, mask)], &verdicts[&(image, name, mask)]),
+            ));
+        }
     }
-    cases
+    Ok(SubjectReport {
+        subject: subject.to_string(),
+        cases,
+    })
 }
 
 /// Differential comparison of one already-lowered program across
@@ -602,25 +714,11 @@ pub fn diff_program(
     cfg: &DiffConfig,
 ) -> Result<SubjectReport, CompileError> {
     let platform = mcu::Profile::mica2();
-    let reference = reference_pipeline().build(program.clone(), platform.clone())?;
     let workload = Workload::Raw {
         budget: cfg.budget_cycles,
     };
-    let mut cases = Vec::new();
-    for preset in presets {
-        let build = preset.build(program.clone(), platform.clone())?;
-        cases.extend(diff_builds(
-            subject,
-            &reference,
-            &build,
-            preset.name(),
-            &workload,
-            cfg,
-        ));
-    }
-    Ok(SubjectReport {
-        subject: subject.to_string(),
-        cases,
+    diff_subject(subject, presets, &workload, cfg, |p| {
+        p.build(program.clone(), platform.clone())
     })
 }
 
@@ -648,34 +746,28 @@ pub fn diff_seed(
 /// fault category, RAM — stays byte-compared).
 pub const TIMING_ENCODED_RADIO_APPS: [&str; 1] = ["TestTimeStamping_Mica2"];
 
-/// Differential comparison of one benchmark app under one preset,
-/// through `session`'s frontend cache.
+/// Differential comparison of one benchmark app across `presets`,
+/// against the cure-only reference, building through `session`'s
+/// frontend and pass caches.
 ///
 /// # Errors
 ///
-/// Propagates compile errors from either pipeline.
+/// Propagates compile errors from any pipeline.
 pub fn diff_app(
     session: &crate::BuildSession,
     spec: &AppSpec,
-    preset: &Pipeline,
+    presets: &[Pipeline],
     seconds: u64,
     cfg: &DiffConfig,
-) -> Result<Vec<DiffCase>, CompileError> {
-    let reference = session.build(spec, &reference_pipeline())?;
-    let build = session.build(spec, preset)?;
+) -> Result<SubjectReport, CompileError> {
     let workload = Workload::App {
         spec,
         seconds,
         timing_encoded_radio: TIMING_ENCODED_RADIO_APPS.contains(&spec.name),
     };
-    Ok(diff_builds(
-        spec.name,
-        &reference,
-        &build,
-        preset.name(),
-        &workload,
-        cfg,
-    ))
+    diff_subject(spec.name, presets, &workload, cfg, |p| {
+        session.build(spec, p)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1134,13 +1226,10 @@ mod tests {
             let build = reference_pipeline()
                 .build(program, mcu::Profile::mica2())
                 .unwrap();
-            let m = run_build(
-                &build,
-                &Workload::Raw {
-                    budget: cfg.budget_cycles,
-                },
-                None,
-            );
+            let m = Workload::Raw {
+                budget: cfg.budget_cycles,
+            }
+            .run(&build.image, &OnceLock::new(), None);
             assert_ne!(
                 m.state,
                 RunState::Running,

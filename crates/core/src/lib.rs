@@ -506,14 +506,21 @@ pub struct SimResult {
 /// [`simulate`] and the fault-injection campaigns in [`campaign`], which
 /// must set machines up identically for golden and injected runs.
 pub fn prepare_machine(build: &Build, spec: &AppSpec, seconds: u64) -> (Machine, u64) {
-    let mut ctx = spec.context.clone();
-    ctx.seconds = seconds;
     let mut m = Machine::new(&build.image);
     if m.engine() == mcu::Engine::Bt {
         m.set_block_cache(build.block_cache());
     }
+    let until = load_context(&mut m, build.image.profile.clock_hz, spec, seconds);
+    (m, until)
+}
+
+/// Applies `spec`'s workload context for `seconds` of simulated time to
+/// a fresh machine clocked at `hz` and returns the run horizon in
+/// cycles — the half of [`prepare_machine`] that needs no [`Build`].
+pub(crate) fn load_context(m: &mut Machine, hz: u64, spec: &AppSpec, seconds: u64) -> u64 {
+    let mut ctx = spec.context.clone();
+    ctx.seconds = seconds;
     // Rebuild periodic injections for the overridden duration.
-    let hz = build.image.profile.clock_hz;
     let until = ctx.duration_cycles(hz);
     m.set_waveform(ctx.waveform.clone());
     for inj in &ctx.injections {
@@ -522,8 +529,8 @@ pub fn prepare_machine(build: &Build, spec: &AppSpec, seconds: u64) -> (Machine,
         }
     }
     // Extend periodic patterns beyond the stock context if needed.
-    extend_injections(&spec.context, &mut m, hz, until);
-    (m, until)
+    extend_injections(&spec.context, m, hz, until);
+    until
 }
 
 /// Runs `build` in `spec`'s context for `seconds` of simulated time

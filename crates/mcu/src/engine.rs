@@ -63,8 +63,13 @@ static OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(
 impl Engine {
     /// The engine selected by [`Engine::set_global_override`] if one is
     /// set, else by the `STOS_ENGINE` environment variable
-    /// (`interp` | `bt`), read once per process. Unknown or absent
-    /// values select the interpreter.
+    /// (`interp` | `bt`), read once per process. An absent or empty
+    /// value selects the interpreter.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the accepted spellings, on any other value: a
+    /// typo must not silently measure the wrong engine.
     pub fn from_env() -> Engine {
         match OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
             0 => return Engine::Interp,
@@ -72,10 +77,24 @@ impl Engine {
             _ => {}
         }
         static ENGINE: OnceLock<Engine> = OnceLock::new();
-        *ENGINE.get_or_init(|| match std::env::var("STOS_ENGINE").as_deref() {
-            Ok("bt") => Engine::Bt,
+        *ENGINE.get_or_init(|| match std::env::var_os("STOS_ENGINE") {
+            Some(v) if !v.is_empty() => {
+                Engine::parse(&v.to_string_lossy()).unwrap_or_else(|e| panic!("STOS_ENGINE: {e}"))
+            }
             _ => Engine::Interp,
         })
+    }
+
+    /// Parses a knob spelling: `interp` or `bt`, exactly.
+    ///
+    /// # Errors
+    ///
+    /// Names the value and the accepted spellings on anything else.
+    pub fn parse(s: &str) -> Result<Engine, String> {
+        [Engine::Interp, Engine::Bt]
+            .into_iter()
+            .find(|e| e.name() == s)
+            .ok_or_else(|| format!("unknown engine `{s}` (expected `interp` or `bt`)"))
     }
 
     /// Sets (or, with `None`, clears) the process-global engine
@@ -1233,6 +1252,20 @@ mod tests {
             assert!(
                 msg.contains("#0") && msg.contains("main"),
                 "{engine:?}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn engine_spellings_parse_strictly() {
+        for engine in [Engine::Interp, Engine::Bt] {
+            assert_eq!(Engine::parse(engine.name()), Ok(engine));
+        }
+        for bad in ["", "BT", " bt", "interp ", "jit"] {
+            let err = Engine::parse(bad).unwrap_err();
+            assert!(
+                err.contains(&format!("`{bad}`")) && err.contains("`interp` or `bt`"),
+                "{bad:?}: {err}"
             );
         }
     }

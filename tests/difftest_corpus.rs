@@ -65,6 +65,77 @@ fn corpus_replays_clean_across_all_presets() {
         && c.preset == "unsafe"));
 }
 
+/// The oracle shares builds and runs across the presets of one call —
+/// by canonical spec and by identical image — so a preset list with
+/// duplicated and reordered entries must still yield, case for case,
+/// what one single-preset call per entry yields.
+#[test]
+fn shared_runs_match_single_preset_calls() {
+    let cfg = DiffConfig::default();
+    let mut presets = bench::diff::default_presets();
+    presets.reverse();
+    presets.extend([
+        // Same spec as the reference and as the `safe-flid` preset.
+        difftest::reference_pipeline().with_name("reference-again"),
+        safe_tinyos::Pipeline::preset("gcc").unwrap(),
+        // `safe-flid-cxprop` with its link-time backend spelled out: a
+        // different spec, the same image.
+        safe_tinyos::Pipeline::parse("cure(flid)|cxprop|prune|backend").unwrap(),
+        safe_tinyos::Pipeline::preset("unsafe").unwrap(),
+    ]);
+    for seed in corpus_seeds() {
+        let program = difftest::generate_program(seed).unwrap();
+        let subject = format!("seed:{seed}");
+        let together = difftest::diff_program(&subject, &program, &presets, &cfg).unwrap();
+        let one_by_one: Vec<_> = presets
+            .iter()
+            .flat_map(|p| {
+                difftest::diff_program(&subject, &program, std::slice::from_ref(p), &cfg)
+                    .unwrap()
+                    .cases
+            })
+            .collect();
+        assert_eq!(together.cases, one_by_one, "seed {seed}");
+    }
+}
+
+/// The app population rides the same core: two presets with different
+/// specs that link one image share its runs and still report exactly
+/// what separate calls report.
+#[test]
+fn app_presets_sharing_an_image_match_single_preset_calls() {
+    let spec = tosapps::spec("BlinkTask_Mica2").unwrap();
+    let session = safe_tinyos::BuildSession::new();
+    let presets = [
+        safe_tinyos::Pipeline::safe_flid_cxprop(),
+        safe_tinyos::Pipeline::parse("cure(flid)|cxprop|prune|backend").unwrap(),
+    ];
+    assert_ne!(presets[0].spec(), presets[1].spec());
+    assert_eq!(
+        session.build(&spec, &presets[0]).unwrap().image,
+        session.build(&spec, &presets[1]).unwrap().image,
+        "the pair must link one image"
+    );
+    let cfg = DiffConfig::default();
+    let together = difftest::diff_app(&session, &spec, &presets, 2, &cfg).unwrap();
+    let one_by_one: Vec<_> = presets
+        .iter()
+        .flat_map(|p| {
+            difftest::diff_app(&session, &spec, std::slice::from_ref(p), 2, &cfg)
+                .unwrap()
+                .cases
+        })
+        .collect();
+    assert_eq!(together.cases, one_by_one);
+    assert!(
+        together
+            .cases
+            .iter()
+            .any(|c| c.phase == DiffPhase::Injected),
+        "no injected comparison exercised the shared runs"
+    );
+}
+
 proptest! {
     /// Generator validity: every seed's program passes the frontend
     /// (parse + type-check) — the generator may never emit source the
