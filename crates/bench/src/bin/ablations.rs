@@ -116,7 +116,7 @@ fn main() {
         .int("atomics_demoted", atomics_demoted as i64)
         .int("copies_propagated", copies as i64)
         .int("checks_inserted", domain_inserted as i64)
-        .raw("domain_surviving_checks", &domain_obj.build())
+        .val("domain_surviving_checks", domain_obj.build())
         .build();
     emit_json("ablations", &body).expect("write BENCH_ablations.json");
     runner.emit_speed("ablations");

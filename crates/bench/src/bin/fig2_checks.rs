@@ -38,7 +38,7 @@ fn main() {
             json::Obj::new()
                 .str("app", name)
                 .int("checks_inserted", inserted as i64)
-                .raw("removed_pct", &stack_obj.build())
+                .val("removed_pct", stack_obj.build())
                 .build(),
         );
     }
@@ -57,8 +57,8 @@ fn main() {
     }
     let body = json::Obj::new()
         .str("figure", "fig2_checks")
-        .raw("apps", &json::arr(app_rows))
-        .raw("total", &total_obj.build())
+        .val("apps", json::arr(app_rows))
+        .val("total", total_obj.build())
         .build();
     emit_json("fig2_checks", &body).expect("write BENCH_fig2_checks.json");
     runner.emit_speed("fig2_checks");

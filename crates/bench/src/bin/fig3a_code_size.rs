@@ -5,8 +5,8 @@
 //! the cold grid is measured and emitted, the same grid runs a second
 //! time against the warm frontend and pass caches, and the speed report
 //! gains the `cache` section (warm wall/compile times plus the
-//! cure-run census) that CI's `cache_gate` enforces from the published
-//! bytes.
+//! cure-run census) that the `gate cache` row enforces from the
+//! published bytes.
 
 use std::collections::BTreeSet;
 
@@ -16,7 +16,7 @@ use safe_tinyos::{pipelines_from_env_or, Metrics, Pipeline};
 /// Renders the figure from a measured grid: the printable table rows
 /// and the machine-readable body. Pure, so the warm re-run can be
 /// byte-compared against the cold one.
-fn render(bars: &[Pipeline], grid: &[Vec<Metrics>]) -> (Vec<String>, String) {
+fn render(bars: &[Pipeline], grid: &[Vec<Metrics>]) -> (Vec<String>, json::Value) {
     let mut lines = Vec::new();
     let mut app_rows = Vec::new();
     for (name, builds) in tosapps::APP_NAMES.iter().zip(grid) {
@@ -34,13 +34,13 @@ fn render(bars: &[Pipeline], grid: &[Vec<Metrics>]) -> (Vec<String>, String) {
             json::Obj::new()
                 .str("app", name)
                 .int("baseline_flash_bytes", base_bytes as i64)
-                .raw("delta_pct", &bar_obj.build())
+                .val("delta_pct", bar_obj.build())
                 .build(),
         );
     }
     let body = json::Obj::new()
         .str("figure", "fig3a_code_size")
-        .raw("apps", &json::arr(app_rows))
+        .val("apps", json::arr(app_rows))
         .build();
     (lines, body)
 }

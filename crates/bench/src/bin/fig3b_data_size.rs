@@ -39,13 +39,13 @@ fn main() {
             json::Obj::new()
                 .str("app", name)
                 .int("baseline_sram_bytes", base_bytes as i64)
-                .raw("delta_pct", &bar_obj.build())
+                .val("delta_pct", bar_obj.build())
                 .build(),
         );
     }
     let body = json::Obj::new()
         .str("figure", "fig3b_data_size")
-        .raw("apps", &json::arr(app_rows))
+        .val("apps", json::arr(app_rows))
         .build();
     emit_json("fig3b_data_size", &body).expect("write BENCH_fig3b_data_size.json");
     runner.emit_speed("fig3b_data_size");

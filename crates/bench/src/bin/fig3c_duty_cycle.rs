@@ -54,14 +54,14 @@ fn main() {
             json::Obj::new()
                 .str("app", name)
                 .num("baseline_duty_pct", base_duty)
-                .raw("rel_delta_pct", &cfg_obj.build())
+                .val("rel_delta_pct", cfg_obj.build())
                 .build(),
         );
     }
     let body = json::Obj::new()
         .str("figure", "fig3c_duty_cycle")
         .int("seconds", seconds as i64)
-        .raw("apps", &json::arr(app_rows))
+        .val("apps", json::arr(app_rows))
         .build();
     emit_json("fig3c_duty_cycle", &body).expect("write BENCH_fig3c_duty_cycle.json");
     runner.emit_speed("fig3c_duty_cycle");

@@ -15,7 +15,7 @@
 //!   route poisoning observed at the sink).
 //!
 //! Emits `BENCH_fleet.json` — the `"pinned"` object is byte-pinned by
-//! CI's `fleet_gate` (per-row subset comparison, so CI can sweep fewer
+//! the `gate fleet` row (per-row subset comparison, so CI can sweep fewer
 //! cells than the committed artifact), the `"dynamics"` object carries
 //! wall times.
 
@@ -81,11 +81,11 @@ fn main() {
 
     let body = json::Obj::new()
         .str("figure", "fleet")
-        .raw(
+        .val(
             "pinned",
-            &pinned_json(&rows, seconds, campaign, equivalence_ok),
+            pinned_json(&rows, seconds, campaign, equivalence_ok),
         )
-        .raw("dynamics", &dynamics_json(&rows, runner.threads()))
+        .val("dynamics", dynamics_json(&rows, runner.threads()))
         .build();
     emit_json("fleet", &body).expect("write BENCH_fleet.json");
     runner.emit_speed("fleet");

@@ -119,7 +119,7 @@ fn main() {
             if let Some(fault) = &cell.fault {
                 obj = obj.str("fault", fault);
             }
-            cells.push(obj.raw("pass_ms", &pass_obj.build()).build());
+            cells.push(obj.val("pass_ms", pass_obj.build()).build());
         }
         println!("{line}");
     }
@@ -133,12 +133,12 @@ fn main() {
     let body = json::Obj::new()
         .str("figure", "pipeline_matrix")
         .int("seconds", seconds as i64)
-        .raw(
+        .val(
             "apps",
-            &json::arr(APPS.iter().map(|a| format!("\"{}\"", json::esc(a)))),
+            json::arr(APPS.iter().map(|a| json::Value::Str(a.to_string()))),
         )
-        .raw("stacks", &json::arr(stack_rows))
-        .raw("cells", &json::arr(cells))
+        .val("stacks", json::arr(stack_rows))
+        .val("cells", json::arr(cells))
         .build();
     emit_json("pipeline_matrix", &body).expect("write BENCH_pipeline_matrix.json");
     runner.emit_speed("pipeline_matrix");

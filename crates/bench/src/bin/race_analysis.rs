@@ -15,7 +15,7 @@
 //!   (generated seeds + every app vs the cure-only reference).
 //!
 //! Emits `BENCH_races.json` — the `"analysis"` object is byte-pinned by
-//! CI's `race_gate`, the `"dynamics"` object is self-gated here:
+//! the `gate races` row, the `"dynamics"` object is self-gated here:
 //! every app yields diagnostics, every fix build reaches the
 //! zero-diagnostic fixpoint, hardened builds are torn-update immune
 //! while unhardened builds measurably diverge, and the oracle sees zero
@@ -71,10 +71,10 @@ fn main() {
 
     let body = json::Obj::new()
         .str("figure", "race_analysis")
-        .raw("analysis", &analysis_json(&rows))
-        .raw(
+        .val("analysis", analysis_json(&rows))
+        .val(
             "dynamics",
-            &dynamics_json(&rows, seconds, knobs.torn_sites, oracle, seeds.len()),
+            dynamics_json(&rows, seconds, knobs.torn_sites, oracle, seeds.len()),
         )
         .build();
     emit_json("races", &body).expect("write BENCH_races.json");

@@ -99,9 +99,9 @@ fn main() {
         ("after_dce", RuntimeStage::AfterDce),
     ] {
         let (ram, rom) = footprint_at(stage);
-        stage_obj = stage_obj.raw(
+        stage_obj = stage_obj.val(
             label,
-            &json::Obj::new()
+            json::Obj::new()
                 .int("ram", ram as i64)
                 .int("rom", rom as i64)
                 .build(),
@@ -109,8 +109,8 @@ fn main() {
     }
     let body = json::Obj::new()
         .str("figure", "runtime_footprint")
-        .raw("stages", &stage_obj.build())
-        .raw("measured_blinktask", &measured.build())
+        .val("stages", stage_obj.build())
+        .val("measured_blinktask", measured.build())
         .build();
     emit_json("runtime_footprint", &body).expect("write BENCH_runtime_footprint.json");
     runner.emit_speed("runtime_footprint");

@@ -19,7 +19,7 @@
 //! `awake_cycles`, `instr_count`, final state, and fault message for
 //! every subject (the translation is only legal if it is invisible).
 //!
-//! Emits `BENCH_sim_speed.json`; the `sim_speed_gate` binary re-asserts
+//! Emits `BENCH_sim_speed.json`; the `gate sim-speed` row re-asserts
 //! both gates from the published bytes in CI.
 
 use std::time::Instant;
@@ -166,8 +166,8 @@ fn main() {
                 .num("interp_instr_per_sec", a.instrs as f64 / a.wall_s)
                 .num("bt_instr_per_sec", b.instrs as f64 / b.wall_s)
                 .num("speedup", speedup)
-                .raw("gated", if k.gated { "true" } else { "false" })
-                .raw("identical", if same { "true" } else { "false" })
+                .val("gated", json::Value::Bool(k.gated))
+                .val("identical", json::Value::Bool(same))
                 .build(),
         );
     }
@@ -253,7 +253,7 @@ fn main() {
                 .num("speedup", speedup)
                 .int("blocks", stats.blocks as i64)
                 .int("fused_superinstructions", stats.fused as i64)
-                .raw("identical", if same { "true" } else { "false" })
+                .val("identical", json::Value::Bool(same))
                 .build(),
         );
     }
@@ -273,12 +273,9 @@ fn main() {
         .num("kernel_speedup", kernel_speedup)
         .num("app_speedup", app_speedup)
         .num("speedup_min", min)
-        .raw(
-            "engines_identical",
-            if identical { "true" } else { "false" },
-        )
-        .raw("kernels", &json::arr(kernel_rows))
-        .raw("apps", &json::arr(app_rows))
+        .val("engines_identical", json::Value::Bool(identical))
+        .val("kernels", json::arr(kernel_rows))
+        .val("apps", json::arr(app_rows))
         .build();
     emit_json("sim_speed", &body).expect("write BENCH_sim_speed.json");
 

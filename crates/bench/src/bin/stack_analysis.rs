@@ -11,7 +11,7 @@
 //!   bound-vs-watermark tightness under the full safe stack.
 //!
 //! Emits `BENCH_stack.json` — the `"analysis"` object is byte-pinned by
-//! CI's `stack_gate` (identical for any worker count and either
+//! the `gate stack` row (identical for any worker count and either
 //! engine), the `"dynamics"` object is self-gated here: every cell's
 //! bound is finite, dominates the observed watermark, and stays inside
 //! the SRAM budget, and every app wires at least one interrupt vector
@@ -69,8 +69,8 @@ fn main() {
 
     let body = json::Obj::new()
         .str("figure", "stack_analysis")
-        .raw("analysis", &analysis_json(&rows))
-        .raw("dynamics", &dynamics_json(&rows, seconds))
+        .val("analysis", analysis_json(&rows))
+        .val("dynamics", dynamics_json(&rows, seconds))
         .build();
     emit_json("stack", &body).expect("write BENCH_stack.json");
     runner.emit_speed("stack_analysis");

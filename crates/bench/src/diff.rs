@@ -28,7 +28,7 @@ pub fn default_presets() -> Vec<Pipeline> {
 /// hardened check-elimination policy. A `cxprop(noharden)` stack exists
 /// precisely to demonstrate lost coverage, so its CheckStrengthReduction
 /// verdicts are the experiment, not a regression — excluding it here
-/// keeps the harness's self-gate and the artifact-level `difftest_gate`
+/// keeps the harness's self-gate and the artifact-level `gate difftest`
 /// in agreement on the same report bytes, whatever grid produced them.
 pub fn is_cured(p: &Pipeline) -> bool {
     let spec = p.spec();
@@ -122,7 +122,7 @@ pub fn cured_strength_reductions(presets: &[Pipeline], tallies: &[PresetTally]) 
         .sum()
 }
 
-fn counts_obj(c: &safe_tinyos::DiffCounts) -> String {
+fn counts_obj(c: &safe_tinyos::DiffCounts) -> json::Value {
     json::Obj::new()
         .int("match", c.matched as i64)
         .int("benign", c.benign as i64)
@@ -142,7 +142,7 @@ pub fn render_json(
     cfg: &DiffConfig,
     seconds: u64,
     tallies: &[PresetTally],
-) -> String {
+) -> json::Value {
     let preset_rows = tallies.iter().map(|t| {
         let divergences = t.divergences.iter().map(|d| {
             json::Obj::new()
@@ -161,9 +161,9 @@ pub fn render_json(
         });
         json::Obj::new()
             .str("preset", &t.preset)
-            .raw("golden", &counts_obj(&t.golden))
-            .raw("injected", &counts_obj(&t.injected))
-            .raw("divergences", &json::arr(divergences))
+            .val("golden", counts_obj(&t.golden))
+            .val("injected", counts_obj(&t.injected))
+            .val("divergences", json::arr(divergences))
             .build()
     });
     json::Obj::new()
@@ -180,7 +180,7 @@ pub fn render_json(
             "total_cured_strength_reductions",
             cured_strength_reductions(presets, tallies) as i64,
         )
-        .raw("presets", &json::arr(preset_rows))
+        .val("presets", json::arr(preset_rows))
         .build()
 }
 
@@ -258,7 +258,7 @@ mod tests {
     fn noharden_stacks_waive_detection_parity() {
         // The classical-policy collapse exhibit loses detections by
         // design: it must not count against the parity gate, so the
-        // harness's self-gate and difftest_gate agree on any artifact.
+        // harness's self-gate and `gate difftest` agree on any artifact.
         let noharden = Pipeline::parse("cure(flid)|cxprop(noharden)|prune").unwrap();
         assert!(!is_cured(&noharden));
         assert!(is_cured(&Pipeline::safe_flid_cxprop()));

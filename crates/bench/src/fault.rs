@@ -77,7 +77,7 @@ pub fn render_json(
     pipelines: &[Pipeline],
     config: &CampaignConfig,
     grid: &[Vec<CampaignReport>],
-) -> String {
+) -> json::Value {
     let mut pipeline_rows = Vec::new();
     for (ci, pipeline) in pipelines.iter().enumerate() {
         let mut totals = ccured::VerdictCounts::default();
@@ -100,7 +100,7 @@ pub fn render_json(
                     .int("crash", report.counts.crashed as i64)
                     .int("silent", report.counts.silent as i64)
                     .int("benign", report.counts.benign as i64)
-                    .raw("detections", &json::arr(detections))
+                    .val("detections", json::arr(detections))
                     .build(),
             );
         }
@@ -113,7 +113,7 @@ pub fn render_json(
                 .int("silent", totals.silent as i64)
                 .int("benign", totals.benign as i64)
                 .num("detection_rate_pct", totals.detection_rate_pct())
-                .raw("apps", &json::arr(app_rows))
+                .val("apps", json::arr(app_rows))
                 .build(),
         );
     }
@@ -122,7 +122,7 @@ pub fn render_json(
         .int("seconds", config.seconds as i64)
         .int("sites", config.sites as i64)
         .int("seed", config.seed as i64)
-        .raw("pipelines", &json::arr(pipeline_rows))
+        .val("pipelines", json::arr(pipeline_rows))
         .build()
 }
 

@@ -1,7 +1,7 @@
 //! The fleet harness's data model: the mote-count scaling sweep, the
 //! network-level fault campaign, and the `BENCH_fleet.json` payload
-//! (the `fleet` binary drives it, `fleet_gate` diffs the published
-//! artifact).
+//! (the `fleet` binary drives it, the `gate fleet` row diffs the
+//! published artifact).
 //!
 //! The emitted JSON has two top-level objects with different CI
 //! contracts:
@@ -11,7 +11,7 @@
 //!   histogram, and the lockstep-equivalence flag. Every value is a
 //!   pure function of the build and the seeds — wall time never leaks
 //!   in — so CI byte-compares each fresh row against the committed row
-//!   with the same `(motes, seed)` key (see [`crate::gate::fleet_check`]).
+//!   with the same `(motes, seed)` key (see [`crate::gate::GATES`]).
 //!   CI sweeps a smaller mote population than the committed artifact;
 //!   the gate compares the subset.
 //! * `"dynamics"` — wall times, scheduler pops per second, thread
@@ -140,7 +140,7 @@ pub fn run_campaign(runner: &ExperimentRunner, build: &Build) -> (FleetVerdictCo
 }
 
 /// Serializes one byte-pinned sweep row (no wall time).
-pub fn pinned_row_json(r: &FleetRow) -> String {
+pub fn pinned_row_json(r: &FleetRow) -> json::Value {
     json::Obj::new()
         .int("motes", r.motes as i64)
         .int("seed", r.seed as i64)
@@ -166,23 +166,23 @@ pub fn pinned_json(
     seconds: u64,
     campaign: (FleetVerdictCounts, usize),
     equivalence_ok: bool,
-) -> String {
+) -> json::Value {
     let cfg = campaign_config();
     let (counts, sites) = campaign;
     json::Obj::new()
         .int("fleet_seconds", seconds as i64)
-        .raw(
+        .val(
             "quality",
-            &json::Obj::new()
+            json::Obj::new()
                 .int("loss_ppm", SWEEP_QUALITY.loss_ppm as i64)
                 .int("dup_ppm", SWEEP_QUALITY.dup_ppm as i64)
                 .int("reorder_ppm", SWEEP_QUALITY.reorder_ppm as i64)
                 .build(),
         )
-        .raw("rows", &json::arr(rows.iter().map(pinned_row_json)))
-        .raw(
+        .val("rows", json::arr(rows.iter().map(pinned_row_json)))
+        .val(
             "campaign",
-            &json::Obj::new()
+            json::Obj::new()
                 .int("motes", cfg.spec.motes as i64)
                 .int("victim", cfg.victim as i64)
                 .int("sites", sites as i64)
@@ -193,15 +193,12 @@ pub fn pinned_json(
                 .int("benign", counts.benign as i64)
                 .build(),
         )
-        .raw(
-            "equivalence_ok",
-            if equivalence_ok { "true" } else { "false" },
-        )
+        .val("equivalence_ok", json::Value::Bool(equivalence_ok))
         .build()
 }
 
 /// Serializes the machine-dependent `"dynamics"` object.
-pub fn dynamics_json(rows: &[FleetRow], threads: usize) -> String {
+pub fn dynamics_json(rows: &[FleetRow], threads: usize) -> json::Value {
     let cells = rows
         .iter()
         .map(|r| {
@@ -221,7 +218,7 @@ pub fn dynamics_json(rows: &[FleetRow], threads: usize) -> String {
         .collect::<Vec<_>>();
     json::Obj::new()
         .int("threads", threads as i64)
-        .raw("rows", &json::arr(cells))
+        .val("rows", json::arr(cells))
         .build()
 }
 
@@ -260,9 +257,9 @@ mod tests {
             wall_ms: 123.4,
         };
         let j = pinned_row_json(&row);
-        assert!(j.contains("\"motes\":10"));
-        assert!(j.contains("\"heard\":6"));
-        assert!(!j.contains("wall"), "{j}");
+        assert_eq!(j.get("motes").and_then(json::Value::as_f64), Some(10.0));
+        assert_eq!(j.get("heard").and_then(json::Value::as_f64), Some(6.0));
+        assert!(!j.to_string().contains("wall"), "{j}");
     }
 
     #[test]

@@ -22,6 +22,7 @@ pub mod diff;
 pub mod fault;
 pub mod fleet;
 pub mod gate;
+pub mod json;
 pub mod kernels;
 pub mod races;
 pub mod runner;
@@ -70,19 +71,32 @@ pub mod knobs {
     use std::str::FromStr;
     use std::sync::OnceLock;
 
-    /// Reads knob `name` through `lookup`. Unset or blank selects
-    /// `default`; anything else must parse as a `T`.
+    /// Reads knob `name` through `lookup`. Unset or blank is `None`;
+    /// anything else must parse as a `T`.
     fn knob<T: FromStr>(
         lookup: &impl Fn(&str) -> Option<String>,
         name: &str,
-        default: T,
-    ) -> Result<T, String> {
+    ) -> Result<Option<T>, String> {
         match lookup(name) {
             Some(v) if !v.trim().is_empty() => v
                 .trim()
                 .parse()
+                .map(Some)
                 .map_err(|_| format!("{name}: malformed value `{v}`")),
-            _ => Ok(default),
+            _ => Ok(None),
+        }
+    }
+
+    /// [`knob`] for a bound that must be a positive, finite number.
+    fn positive_knob(
+        lookup: &impl Fn(&str) -> Option<String>,
+        name: &str,
+    ) -> Result<Option<f64>, String> {
+        match knob::<f64>(lookup, name)? {
+            Some(x) if !(x.is_finite() && x > 0.0) => {
+                Err(format!("{name}: `{x}` is not a positive number"))
+            }
+            x => Ok(x),
         }
     }
 
@@ -128,6 +142,15 @@ pub mod knobs {
         /// against the committed baseline, so their horizon must not
         /// move with it. `STOS_FLEET_SECONDS`, default 4.
         pub fleet_seconds: u64,
+        /// Worker threads of [`crate::ExperimentRunner::from_env`] (`1`
+        /// runs serially on the calling thread). `STOS_THREADS`, default
+        /// the machine's available parallelism; `0` is an error.
+        pub threads: usize,
+        /// How many times slower than the committed baseline the
+        /// `regression` gate lets a fresh toolchain run be.
+        /// `STOS_REGRESSION_FACTOR`; `None` when unset, so the gate can
+        /// say its bound is the default.
+        pub regression_factor: Option<f64>,
     }
 
     impl Knobs {
@@ -154,7 +177,8 @@ pub mod knobs {
         ///
         /// Names the knob and its value when a value does not parse,
         /// when `STOS_MOTES` has an entry that is not a positive mote
-        /// count, or when `STOS_SPEEDUP_MIN` is not a positive number.
+        /// count, when `STOS_THREADS` is `0`, or when `STOS_SPEEDUP_MIN`
+        /// or `STOS_REGRESSION_FACTOR` is not a positive number.
         pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Knobs, String> {
             let fleet_motes = match lookup("STOS_MOTES") {
                 Some(v) if !v.trim().is_empty() => v
@@ -169,23 +193,24 @@ pub mod knobs {
                     .collect::<Result<_, _>>()?,
                 _ => vec![10, 100, 1000],
             };
-            let speedup_min: f64 = knob(&lookup, "STOS_SPEEDUP_MIN", 10.0)?;
-            if !(speedup_min.is_finite() && speedup_min > 0.0) {
-                return Err(format!(
-                    "STOS_SPEEDUP_MIN: `{speedup_min}` is not a positive number"
-                ));
-            }
+            let threads = match knob(&lookup, "STOS_THREADS")? {
+                Some(0) => return Err("STOS_THREADS: `0` is not a worker count".into()),
+                Some(n) => n,
+                None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            };
             Ok(Knobs {
-                sim_seconds: knob(&lookup, "STOS_SECONDS", 10)?,
-                fault_sites: knob(&lookup, "STOS_FAULTS", 16)?,
-                diff_seeds: knob(&lookup, "STOS_DIFF_SEEDS", 50)?,
-                diff_base: knob(&lookup, "STOS_DIFF_BASE", 1)?,
-                torn_sites: knob(&lookup, "STOS_TORN", 4)?,
-                kernel_cycles: knob(&lookup, "STOS_KERNEL_CYCLES", 200_000_000)?,
-                speedup_min,
+                sim_seconds: knob(&lookup, "STOS_SECONDS")?.unwrap_or(10),
+                fault_sites: knob(&lookup, "STOS_FAULTS")?.unwrap_or(16),
+                diff_seeds: knob(&lookup, "STOS_DIFF_SEEDS")?.unwrap_or(50),
+                diff_base: knob(&lookup, "STOS_DIFF_BASE")?.unwrap_or(1),
+                torn_sites: knob(&lookup, "STOS_TORN")?.unwrap_or(4),
+                kernel_cycles: knob(&lookup, "STOS_KERNEL_CYCLES")?.unwrap_or(200_000_000),
+                speedup_min: positive_knob(&lookup, "STOS_SPEEDUP_MIN")?.unwrap_or(10.0),
                 fleet_motes,
-                fleet_seeds: knob(&lookup, "STOS_FLEET_SEEDS", 2)?,
-                fleet_seconds: knob(&lookup, "STOS_FLEET_SECONDS", 4)?,
+                fleet_seeds: knob(&lookup, "STOS_FLEET_SEEDS")?.unwrap_or(2),
+                fleet_seconds: knob(&lookup, "STOS_FLEET_SECONDS")?.unwrap_or(4),
+                threads,
+                regression_factor: positive_knob(&lookup, "STOS_REGRESSION_FACTOR")?,
             })
         }
     }
@@ -204,12 +229,23 @@ pub mod knobs {
 
         #[test]
         fn unset_and_blank_knobs_take_defaults() {
-            for vars in [&[][..], &[("STOS_SECONDS", ""), ("STOS_MOTES", " ")]] {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            for vars in [
+                &[][..],
+                &[
+                    ("STOS_SECONDS", ""),
+                    ("STOS_MOTES", " "),
+                    ("STOS_THREADS", ""),
+                    ("STOS_REGRESSION_FACTOR", " "),
+                ],
+            ] {
                 let k = parse(vars).unwrap();
                 assert_eq!(k.sim_seconds, 10);
                 assert_eq!(k.fault_sites, 16);
                 assert_eq!(k.fleet_motes, vec![10, 100, 1000]);
                 assert_eq!(k.speedup_min, 10.0);
+                assert_eq!(k.threads, cores);
+                assert_eq!(k.regression_factor, None);
             }
         }
 
@@ -220,8 +256,12 @@ pub mod knobs {
                 ("STOS_DIFF_SEEDS", " 20 "),
                 ("STOS_MOTES", "10, 100"),
                 ("STOS_SPEEDUP_MIN", "2.5"),
+                ("STOS_THREADS", "3"),
+                ("STOS_REGRESSION_FACTOR", "1.5"),
             ])
             .unwrap();
+            assert_eq!(k.threads, 3);
+            assert_eq!(k.regression_factor, Some(1.5));
             assert_eq!(k.sim_seconds, 2);
             assert_eq!(k.diff_seeds, 20);
             assert_eq!(k.fleet_motes, vec![10, 100]);
@@ -238,6 +278,14 @@ pub mod knobs {
                 ("STOS_SPEEDUP_MIN", "fast"),
                 ("STOS_SPEEDUP_MIN", "0"),
                 ("STOS_SPEEDUP_MIN", "inf"),
+                ("STOS_THREADS", "0"),
+                ("STOS_THREADS", "two"),
+                ("STOS_THREADS", "-4"),
+                ("STOS_REGRESSION_FACTOR", "lax"),
+                ("STOS_REGRESSION_FACTOR", "0"),
+                ("STOS_REGRESSION_FACTOR", "-2"),
+                ("STOS_REGRESSION_FACTOR", "NaN"),
+                ("STOS_REGRESSION_FACTOR", "inf"),
             ] {
                 let err = parse(&[(name, value)]).unwrap_err();
                 assert!(
@@ -267,82 +315,10 @@ pub mod knobs {
 /// # Errors
 ///
 /// Propagates the I/O error if the file cannot be written.
-pub fn emit_json(name: &str, body: &str) -> std::io::Result<std::path::PathBuf> {
+pub fn emit_json(name: &str, body: &json::Value) -> std::io::Result<std::path::PathBuf> {
     let dir = std::env::var("STOS_BENCH_DIR").unwrap_or_else(|_| ".".into());
     let path = std::path::Path::new(&dir).join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, body)?;
+    std::fs::write(&path, body.to_string())?;
     println!("[wrote {}]", path.display());
     Ok(path)
-}
-
-/// Minimal JSON construction helpers (the build environment is offline,
-/// so no serde; the figures' payloads are shallow and small).
-pub mod json {
-    /// Escapes a string for use inside a JSON string literal.
-    pub fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// A JSON object builder preserving insertion order.
-    #[derive(Debug, Default)]
-    pub struct Obj {
-        parts: Vec<String>,
-    }
-
-    impl Obj {
-        /// An empty object.
-        pub fn new() -> Obj {
-            Obj::default()
-        }
-
-        /// Adds a string field.
-        pub fn str(mut self, key: &str, value: &str) -> Obj {
-            self.parts
-                .push(format!("\"{}\":\"{}\"", esc(key), esc(value)));
-            self
-        }
-
-        /// Adds an integer field.
-        pub fn int(mut self, key: &str, value: i64) -> Obj {
-            self.parts.push(format!("\"{}\":{value}", esc(key)));
-            self
-        }
-
-        /// Adds a number field (non-finite values become `null`).
-        pub fn num(mut self, key: &str, value: f64) -> Obj {
-            let rendered = if value.is_finite() {
-                format!("{value:.4}")
-            } else {
-                "null".to_string()
-            };
-            self.parts.push(format!("\"{}\":{rendered}", esc(key)));
-            self
-        }
-
-        /// Adds an already-serialized JSON value.
-        pub fn raw(mut self, key: &str, value: &str) -> Obj {
-            self.parts.push(format!("\"{}\":{value}", esc(key)));
-            self
-        }
-
-        /// Serializes the object.
-        pub fn build(self) -> String {
-            format!("{{{}}}", self.parts.join(","))
-        }
-    }
-
-    /// Serializes an array from already-serialized elements.
-    pub fn arr<I: IntoIterator<Item = String>>(items: I) -> String {
-        format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
-    }
 }

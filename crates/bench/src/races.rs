@@ -1,7 +1,7 @@
 //! The race-analysis harness's data model: per-app static analysis
 //! results, hardening costs, and the torn-update atomicity campaign
-//! (the `race_analysis` binary drives it, `race_gate` diffs the
-//! published artifact).
+//! (the `race_analysis` binary drives it, the `gate races` row diffs
+//! the published artifact).
 //!
 //! The emitted `BENCH_races.json` has two top-level objects with
 //! different CI contracts:
@@ -9,7 +9,7 @@
 //! * `"analysis"` — diagnostic censuses, hardening counts, and code-size
 //!   deltas. Pure functions of the toolchain and the app sources, so CI
 //!   byte-compares the published object against the committed baseline
-//!   (see [`crate::gate::race_check`]).
+//!   (see [`crate::gate::GATES`]).
 //! * `"dynamics"` — duty-cycle deltas, torn-campaign divergence tallies,
 //!   and the differential-oracle spot check. These depend on run-length
 //!   knobs (`STOS_SECONDS`, `STOS_TORN`), so the harness self-gates them
@@ -198,7 +198,7 @@ pub fn oracle_check(
 
 /// Serializes the byte-pinned `"analysis"` object (everything in it is a
 /// pure function of toolchain + sources — no run-length knobs).
-pub fn analysis_json(rows: &[AppRaceRow]) -> String {
+pub fn analysis_json(rows: &[AppRaceRow]) -> json::Value {
     let mut totals = CodeCounts::default();
     let mut diagnostics = 0;
     let mut sections = 0;
@@ -224,10 +224,10 @@ pub fn analysis_json(rows: &[AppRaceRow]) -> String {
         })
         .collect::<Vec<_>>();
     json::Obj::new()
-        .raw("apps", &json::arr(apps))
-        .raw(
+        .val("apps", json::arr(apps))
+        .val(
             "totals",
-            &json::Obj::new()
+            json::Obj::new()
                 .int("r001", totals.r001 as i64)
                 .int("r002", totals.r002 as i64)
                 .int("r003", totals.r003 as i64)
@@ -245,7 +245,7 @@ pub fn dynamics_json(
     per_target: usize,
     oracle: (usize, usize),
     oracle_seeds: usize,
-) -> String {
+) -> json::Value {
     let unhardened: usize = rows.iter().map(|r| r.unhardened_divergences).sum();
     let hardened: usize = rows.iter().map(|r| r.hardened_divergences).sum();
     let apps = rows
@@ -271,7 +271,7 @@ pub fn dynamics_json(
         .int("oracle_miscompiles", oracle.0 as i64)
         .int("oracle_cases", oracle.1 as i64)
         .int("oracle_seeds", oracle_seeds as i64)
-        .raw("apps", &json::arr(apps))
+        .val("apps", json::arr(apps))
         .build()
 }
 

@@ -7,8 +7,9 @@
 //! `result[app_index][item_index]` — regardless of which worker finished
 //! which job first.
 //!
-//! Thread count comes from `STOS_THREADS` (`1` = run serially on the
-//! calling thread) and defaults to the machine's available parallelism.
+//! Thread count comes from [`crate::Knobs::threads`] (`STOS_THREADS`;
+//! `1` = run serially on the calling thread) and defaults to the
+//! machine's available parallelism.
 //!
 //! The runner also aggregates per-stage wall times across every build it
 //! performs; [`ExperimentRunner::emit_speed`] writes them to
@@ -22,21 +23,8 @@ use safe_tinyos::{Build, BuildService, BuildSession, CacheStats, Pipeline, Stage
 use tcil::{CompileError, Program};
 use tosapps::AppSpec;
 
-use crate::{emit_json, json};
-
-/// Worker-thread count: `STOS_THREADS` if set (minimum 1), otherwise the
-/// machine's available parallelism.
-pub fn threads_from_env() -> usize {
-    match std::env::var("STOS_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
+use crate::json::{self, Value};
+use crate::{emit_json, Knobs};
 
 #[derive(Debug, Default)]
 struct SpeedAgg {
@@ -130,10 +118,14 @@ impl<C> GridJob<'_, C> {
 }
 
 impl ExperimentRunner {
-    /// A runner with `STOS_THREADS`-controlled parallelism over the
-    /// stock source set.
+    /// A runner with [`Knobs::threads`] workers over the stock source
+    /// set.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Knobs::from_env`] on a malformed `STOS_*` knob.
     pub fn from_env() -> ExperimentRunner {
-        Self::with_threads(threads_from_env())
+        Self::with_threads(Knobs::from_env().threads)
     }
 
     /// A runner with an explicit worker count (`1` = serial).
@@ -346,7 +338,7 @@ impl SpeedReport {
     /// toolchain cost with and without the frontend cache; the `cache`
     /// object carries the pass-cache counters (and, for the canonical
     /// fig3 grid, the warm-window numbers the cache gate enforces).
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Value {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let mut stage_obj = json::Obj::new();
         for (stage, t) in self.stages.iter() {
@@ -367,9 +359,9 @@ impl SpeedReport {
                 .int("misses", c.misses as i64)
                 .int("bytes", c.bytes as i64)
                 .build();
-            passes_obj = passes_obj.raw(name, &counters);
+            passes_obj = passes_obj.val(name, counters);
         }
-        cache_obj = cache_obj.raw("passes", &passes_obj.build());
+        cache_obj = cache_obj.val("passes", passes_obj.build());
         json::Obj::new()
             .str("figure", "toolchain_speed")
             .str("harness", &self.harness)
@@ -379,8 +371,8 @@ impl SpeedReport {
             .num("wall_ms", ms(self.wall))
             .num("compile_ms", ms(self.compile_time()))
             .num("serial_compile_est_ms", ms(self.serial_compile_estimate()))
-            .raw("stage_ms", &stage_obj.build())
-            .raw("cache", &cache_obj.build())
+            .val("stage_ms", stage_obj.build())
+            .val("cache", cache_obj.build())
             .build()
     }
 }

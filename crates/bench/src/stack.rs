@@ -1,7 +1,7 @@
 //! The stack-bound harness's data model: per-app × per-preset certified
 //! bounds, diagnostic censuses, and simulator-observed watermarks (the
-//! `stack_analysis` binary drives it, `stack_gate` diffs the published
-//! artifact).
+//! `stack_analysis` binary drives it, the `gate stack` row diffs the
+//! published artifact).
 //!
 //! The emitted `BENCH_stack.json` has two top-level objects with
 //! different CI contracts:
@@ -10,7 +10,7 @@
 //!   the SRAM budget, and the S00x census for every app × preset cell.
 //!   Pure functions of the toolchain and the app sources, so CI
 //!   byte-compares the published object against the committed baseline
-//!   (see [`crate::gate::stack_check`]) — and because the analyzer runs
+//!   (see [`crate::gate::GATES`]) — and because the analyzer runs
 //!   over the linked image, the bytes are identical for any worker
 //!   count and either execution engine.
 //! * `"dynamics"` — the simulator's stack watermarks and
@@ -136,7 +136,7 @@ fn opt_u32(v: Option<u32>) -> i64 {
 /// a pure function of toolchain + sources: certified bounds, their
 /// task/ISR split, budgets, and the S00x census — no run-length knobs,
 /// no simulator state). Unbounded cells encode their bound as `-1`.
-pub fn analysis_json(rows: &[AppStackRow]) -> String {
+pub fn analysis_json(rows: &[AppStackRow]) -> json::Value {
     let (mut t001, mut t002, mut t003, mut bounded) = (0, 0, 0, 0);
     let apps = rows
         .iter()
@@ -165,15 +165,15 @@ pub fn analysis_json(rows: &[AppStackRow]) -> String {
                 .collect::<Vec<_>>();
             json::Obj::new()
                 .str("app", &r.app)
-                .raw("presets", &json::arr(presets))
+                .val("presets", json::arr(presets))
                 .build()
         })
         .collect::<Vec<_>>();
     json::Obj::new()
-        .raw("apps", &json::arr(apps))
-        .raw(
+        .val("apps", json::arr(apps))
+        .val(
             "totals",
-            &json::Obj::new()
+            json::Obj::new()
                 .int("s001", t001 as i64)
                 .int("s002", t002 as i64)
                 .int("s003", t003 as i64)
@@ -186,11 +186,11 @@ pub fn analysis_json(rows: &[AppStackRow]) -> String {
 /// Serializes the `"dynamics"` object: watermarks and tightness, which
 /// depend on the simulated horizon. `watermark_violations` counts cells
 /// whose observed watermark is not dominated by a finite certified
-/// bound — the soundness field [`crate::gate::stack_check`] requires to
+/// bound — the soundness field the `gate stack` row requires to
 /// be zero — and the `"watermarks"` object (app → per-preset watermark
 /// array) is what the gate byte-compares across same-horizon runs to
 /// prove engine invariance.
-pub fn dynamics_json(rows: &[AppStackRow], seconds: u64) -> String {
+pub fn dynamics_json(rows: &[AppStackRow], seconds: u64) -> json::Value {
     let violations: usize = rows
         .iter()
         .flat_map(|r| &r.cells)
@@ -201,9 +201,9 @@ pub fn dynamics_json(rows: &[AppStackRow], seconds: u64) -> String {
         let per_preset = r
             .cells
             .iter()
-            .map(|c| c.watermark.to_string())
+            .map(|c| json::Value::Num(c.watermark.to_string()))
             .collect::<Vec<_>>();
-        watermarks = watermarks.raw(&r.app, &json::arr(per_preset));
+        watermarks = watermarks.val(&r.app, json::arr(per_preset));
     }
     let apps = rows
         .iter()
@@ -225,8 +225,8 @@ pub fn dynamics_json(rows: &[AppStackRow], seconds: u64) -> String {
     json::Obj::new()
         .int("seconds", seconds as i64)
         .int("watermark_violations", violations as i64)
-        .raw("watermarks", &watermarks.build())
-        .raw("apps", &json::arr(apps))
+        .val("watermarks", watermarks.build())
+        .val("apps", json::arr(apps))
         .build()
 }
 
@@ -265,8 +265,14 @@ mod tests {
             cells: vec![cell(Some(64), 40); PRESET_NAMES.len()],
         }];
         let body = dynamics_json(&rows, 3);
-        assert!(body.contains("\"watermark_violations\":0"), "{body}");
-        assert!(body.contains("\"tightness_pct\":62.5"), "{body}");
+        let num = |path: &str| body.at(path).and_then(json::Value::as_f64);
+        assert_eq!(num("watermark_violations"), Some(0.0), "{body}");
+        let full = &body.at("apps").and_then(json::Value::as_arr).expect("apps")[0];
+        assert_eq!(
+            full.get("tightness_pct").and_then(json::Value::as_f64),
+            Some(62.5),
+            "{body}"
+        );
     }
 
     #[test]
@@ -293,10 +299,22 @@ mod tests {
             ],
         }];
         let body = analysis_json(&rows);
-        assert!(body.contains("\"bound\":56"), "{body}");
-        assert!(body.contains("\"bounded_cells\":1"), "{body}");
+        let cell = &body.at("apps").and_then(json::Value::as_arr).expect("apps")[0];
+        let preset = &cell
+            .get("presets")
+            .and_then(json::Value::as_arr)
+            .expect("presets")[0];
+        assert_eq!(
+            preset.get("bound").and_then(json::Value::as_f64),
+            Some(56.0)
+        );
+        let bounded = body
+            .at("totals.bounded_cells")
+            .and_then(json::Value::as_f64);
+        assert_eq!(bounded, Some(1.0), "{body}");
         // No watermark, no seconds: nothing run-length-dependent.
-        assert!(!body.contains("watermark"), "{body}");
-        assert!(!body.contains("seconds"), "{body}");
+        let text = body.to_string();
+        assert!(!text.contains("watermark"), "{text}");
+        assert!(!text.contains("seconds"), "{text}");
     }
 }

@@ -7,9 +7,24 @@
 //! simulated corruption runs per grid cell, whose rendered JSON must
 //! still be byte-identical for the same seed.
 
+use bench::json::Value;
 use bench::{fault, ExperimentRunner};
 use safe_tinyos::{CampaignConfig, Metrics, Pipeline};
 use safe_tinyos_suite as _;
+
+/// The number at `path` of a rendered report.
+fn num(v: &Value, path: &str) -> f64 {
+    v.at(path)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("no number at `{path}` in {v}"))
+}
+
+/// The array at `path` of a rendered report.
+fn items<'a>(v: &'a Value, path: &str) -> &'a [Value] {
+    v.at(path)
+        .and_then(Value::as_arr)
+        .unwrap_or_else(|| panic!("no array at `{path}` in {v}"))
+}
 
 /// Every deterministic field of the metrics (stage wall times are
 /// timing-dependent by nature and excluded).
@@ -80,8 +95,22 @@ fn fault_campaign_json_matches_serial_under_8_threads() {
     );
     // The report is non-trivial: the cured stacks detect where the
     // uncured gcc baseline cannot.
-    assert!(serial.contains("\"pipeline\":\"gcc\",\"injected\":24,\"detected\":0"));
-    assert!(serial.contains("\"flid\":"));
+    let pipelines = items(&serial, "pipelines");
+    let gcc = pipelines
+        .iter()
+        .find(|p| p.get("pipeline") == Some(&Value::Str("gcc".into())))
+        .expect("gcc row");
+    assert_eq!((num(gcc, "injected"), num(gcc, "detected")), (24.0, 0.0));
+    let detections: Vec<&Value> = pipelines
+        .iter()
+        .flat_map(|p| items(p, "apps"))
+        .flat_map(|a| items(a, "detections"))
+        .collect();
+    assert!(!detections.is_empty(), "{serial}");
+    assert!(
+        detections.iter().all(|d| d.get("flid").is_some()),
+        "{serial}"
+    );
 }
 
 #[test]
@@ -111,7 +140,7 @@ fn difftest_json_matches_serial_under_8_threads() {
         serial, parallel,
         "differential oracle diverged between serial and 8-thread runs"
     );
-    assert!(serial.contains("\"total_miscompiles\":0"), "{serial}");
+    assert_eq!(num(&serial, "total_miscompiles"), 0.0, "{serial}");
 }
 
 #[test]
@@ -175,8 +204,13 @@ fn fleet_json_matches_serial_under_8_threads() {
         "fleet sweep/campaign diverged between serial and 8-thread runs"
     );
     // Non-trivial: traffic flowed and the campaign reached verdicts.
-    assert!(!serial.contains("\"offered\":0"), "{serial}");
-    assert!(serial.contains("\"sites\":6"), "{serial}");
+    assert!(
+        items(&serial, "rows")
+            .iter()
+            .all(|r| num(r, "offered") > 0.0),
+        "{serial}"
+    );
+    assert_eq!(num(&serial, "campaign.sites"), 6.0, "{serial}");
 }
 
 #[test]
@@ -238,7 +272,11 @@ fn campaigns_trigger_identically_under_both_engines() {
         "torn campaign diverged between interp and bt engines"
     );
     // Non-trivial: the campaign produced real detections.
-    assert!(fault_interp.contains("\"detected\""), "{fault_interp}");
+    let detected: f64 = items(&fault_interp, "pipelines")
+        .iter()
+        .map(|p| num(p, "detected"))
+        .sum();
+    assert!(detected > 0.0, "{fault_interp}");
 }
 
 #[test]
