@@ -410,6 +410,17 @@ mod tests {
         r#"{"figure":"toolchain_speed","wall_ms":100.0,"stage_ms":{"frontend":5.0}}"#;
 
     #[test]
+    fn extracts_top_level_numbers() {
+        let base = json::parse(BASE).unwrap();
+        assert_eq!(number(&base, "fresh", "wall_ms"), Ok(100.0));
+        assert_eq!(number(&base, "fresh", "stage_ms.frontend"), Ok(5.0));
+        // Lookup is by path, so a nested key is not found at the top.
+        assert!(number(&base, "fresh", "frontend").is_err());
+        let err = number(&base, "fresh", "missing").unwrap_err();
+        assert!(err.contains("fresh file has no `missing`"), "{err}");
+    }
+
+    #[test]
     fn within_factor_passes() {
         let out = check("regression", BASE, r#"{"wall_ms":180.0}"#).unwrap();
         assert_eq!(
@@ -444,6 +455,17 @@ mod tests {
     #[test]
     fn zero_baseline_never_regresses() {
         assert!(check("regression", r#"{"wall_ms":0.0}"#, r#"{"wall_ms":50.0}"#).is_ok());
+    }
+
+    #[test]
+    fn env_factor_defaults_sanely() {
+        // An unset STOS_REGRESSION_FACTOR leaves the row's 2.00x default.
+        assert_eq!(
+            crate::Knobs::parse(|_| None).unwrap().regression_factor,
+            None
+        );
+        assert!(check("regression", BASE, r#"{"wall_ms":200.0}"#).is_ok());
+        assert!(check("regression", BASE, r#"{"wall_ms":200.1}"#).is_err());
     }
 
     #[test]
@@ -515,6 +537,23 @@ mod tests {
     }
 
     const RACES: &str = r#"{"figure":"race_analysis","analysis":{"apps":[{"app":"A","r001":2}],"totals":{"r001":2}},"dynamics":{"hardened_divergences":0,"unhardened_divergences":5}}"#;
+
+    #[test]
+    fn extract_obj_returns_balanced_objects() {
+        let races = json::parse(RACES).unwrap();
+        let analysis = json::parse(r#"{"apps":[{"app":"A","r001":2}],"totals":{"r001":2}}"#);
+        assert_eq!(
+            lookup(&races, "fresh", "analysis").ok(),
+            analysis.as_ref().ok()
+        );
+        assert_eq!(
+            lookup(&races, "fresh", "analysis.totals").map(Value::to_string),
+            Ok(r#"{"r001":2}"#.to_string())
+        );
+        assert!(lookup(&races, "fresh", "missing").is_err());
+        // An unbalanced document is rejected whole.
+        assert!(json::parse(r#"{"analysis":{"#).is_err());
+    }
 
     #[test]
     fn race_gate_passes_identical_analysis() {
@@ -651,6 +690,19 @@ mod tests {
         FLEET
             .replace(r#"{"motes":10,"seed":2,"heard":6},"#, "")
             .replace(r#",{"motes":100,"seed":1,"heard":50}"#, "")
+    }
+
+    #[test]
+    fn extract_arr_and_split_objs_round_trip() {
+        let fleet = json::parse(FLEET).unwrap();
+        let rows = lookup(&fleet, "fresh", "pinned.rows")
+            .unwrap()
+            .as_arr()
+            .unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0].to_string(), r#"{"motes":10,"seed":1,"heard":5}"#);
+        assert!(lookup(&fleet, "fresh", "pinned.missing").is_err());
+        assert_eq!(json::parse("[]").unwrap().as_arr(), Some(&[][..]));
     }
 
     #[test]
