@@ -335,6 +335,7 @@ impl CxpropPass {
             stats.dce.stores_removed += prior.dce.stores_removed;
             stats.atomics.removed += prior.atomics.removed;
             stats.atomics.demoted += prior.atomics.demoted;
+            stats.analysis_rounds = stats.analysis_rounds.max(prior.analysis_rounds);
         }
         metrics.cxprop = Some(stats);
     }

@@ -18,6 +18,30 @@
 //! values; then a **transform** pass that folds constant expressions and
 //! branches and deletes checks the analysis proves redundant.
 //!
+//! # Summary widening and narrowing
+//!
+//! The analysis runs to a real fixpoint; no round count cuts it off.
+//! Loop heads widen inside a walk (from a loop's second round), and the
+//! interprocedural summaries — each global's whole-program value, each
+//! function's entry slots and its return summary — widen across walks:
+//! from round [`WIDEN_ROUND`] on, a summary that grows is joined through
+//! [`AVal::widen`] at the declared integer kind of the global, parameter
+//! or return type, so a bound that is still moving jumps to the kind's
+//! extreme instead of creeping one step per round. (A counter
+//! incremented once per call would otherwise read `[0,1]`, `[0,2]`, …
+//! for as many rounds as its type has values.) Every summary can thus
+//! grow only a bounded number of times, and the rounds end with nothing
+//! changed.
+//!
+//! Widening overshoots: a counter stored as `(c + 1) % 8` widens to its
+//! type's full range. So once the rounds settle, one narrowing round
+//! recomputes every summary a widening took past the plain join, from
+//! walks of the functions that feed it under the settled summaries (the
+//! counter reads `[0,7]` again), and further rounds confirm that the
+//! narrowed summaries are still stable. The transform therefore folds on
+//! facts that hold for every execution. [`MAX_ROUNDS`] stays only as a
+//! backstop that tests show is never reached.
+//!
 //! # Fault-hardened check elimination
 //!
 //! Check *removal* answers to a stricter standard than ordinary dataflow
@@ -55,6 +79,81 @@ use tcil::Program;
 use crate::aval::{addr_of_value, APtr, AVal, Tri};
 use crate::ival::Ival;
 
+/// Backstop on analysis rounds. Summary widening makes every analysis
+/// converge before it, narrowing round included; [`Engine::rounds`]
+/// reports how many were needed.
+pub const MAX_ROUNDS: usize = 12;
+
+/// The first analysis round (counting from 0) in which growing
+/// interprocedural summaries widen instead of joining. The early rounds
+/// join, so values that settle after a step or two (flags, constants
+/// stored once) keep their exact range.
+pub const WIDEN_ROUND: usize = 2;
+
+/// The interprocedural summaries a narrowing round recomputes.
+struct Facts {
+    wpv: Vec<AVal>,
+    entry: Vec<Option<Vec<AVal>>>,
+    entry_hard: Vec<Option<Vec<AVal>>>,
+    retv: Vec<AVal>,
+    retv_hard: Vec<AVal>,
+}
+
+/// A summary that a widening took past the plain join.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Widened {
+    /// The whole-program value of a global.
+    Global(usize),
+    /// A function's entry slots (both worlds).
+    Entry(usize),
+    /// A function's return summary (both worlds).
+    Return(usize),
+}
+
+/// Entry summaries before any call site is seen: roots (`main` and
+/// interrupt handlers) are live and take no parameters.
+fn root_entries(program: &Program) -> Vec<Option<Vec<AVal>>> {
+    program
+        .functions
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            (program.entry == Some(FuncId(i as u32)) || f.interrupt.is_some()).then(Vec::new)
+        })
+        .collect()
+}
+
+/// How [`grow`] changed a summary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Grew {
+    /// Already covered.
+    No,
+    /// Grew to the join.
+    Joined,
+    /// Widened past the join.
+    Widened,
+}
+
+/// Grows summary `slot` to cover `v`; with `widen`, a bound that moves
+/// goes to `kind`'s extreme (see the module docs).
+fn grow(slot: &mut AVal, v: AVal, widen: bool, kind: IntKind) -> Grew {
+    let j = slot.join(v);
+    if j == *slot {
+        return Grew::No;
+    }
+    *slot = if widen { slot.widen(j, kind) } else { j };
+    if *slot == j {
+        Grew::Joined
+    } else {
+        Grew::Widened
+    }
+}
+
+/// The integer kind widening uses for a value of type `ty`.
+fn widen_kind(ty: &Type) -> IntKind {
+    ty.as_int().unwrap_or(IntKind::I32)
+}
+
 /// Which abstract integer domain the engine plugs in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DomainKind {
@@ -91,10 +190,13 @@ pub struct Summaries {
     pub reachable: Vec<bool>,
     /// `mentions[f][g]`: function `f`'s body mentions global `g` directly
     /// (load, store, or address-of — anywhere, including check operands
-    /// and place subscripts). The sparse engine's dependency edges: only
-    /// mentioning functions can observe a change to the global's
-    /// whole-program value.
+    /// and place subscripts). A walk of `f` tracks flow values for
+    /// exactly these globals.
     pub mentions: Vec<Vec<bool>>,
+    /// `reads[f][g]`: `f`'s body loads `g` or takes its address. The
+    /// sparse engine's dependency edges: a walk of `f` depends on the
+    /// whole-program value of `g` only if it reads `g`.
+    pub reads: Vec<Vec<bool>>,
     /// Direct callees per function, in call-site order (duplicates kept).
     pub callees: Vec<Vec<u32>>,
 }
@@ -110,6 +212,7 @@ pub fn summarize(program: &Program) -> Summaries {
         async_touched: vec![false; ng],
         reachable: vec![false; nf],
         mentions: vec![vec![false; ng]; nf],
+        reads: vec![vec![false; ng]; nf],
         callees: vec![Vec::new(); nf],
     };
     for (fi, f) in program.functions.iter().enumerate() {
@@ -140,6 +243,7 @@ pub fn summarize(program: &Program) -> Summaries {
                     if let ExprKind::Load(p) | ExprKind::AddrOf(p) = &x.kind {
                         if let PlaceBase::Global(g) = &p.base {
                             s.mentions[fi][g.0 as usize] = true;
+                            s.reads[fi][g.0 as usize] = true;
                             if matches!(x.kind, ExprKind::AddrOf(_)) {
                                 s.addr_taken[g.0 as usize] = true;
                             }
@@ -309,7 +413,20 @@ pub struct Engine {
     pub retv: Vec<AVal>,
     /// Fault-hardened twin of [`Engine::retv`].
     pub retv_hard: Vec<AVal>,
+    /// Analysis rounds run; below [`MAX_ROUNDS`] whenever the analysis
+    /// converged.
+    pub rounds: usize,
     changed: bool,
+    /// Whether summary joins widen this round (`rounds >= WIDEN_ROUND`).
+    widen: bool,
+    /// Summaries a widening took past the plain join: the ones narrowing
+    /// rounds recompute.
+    widened: Vec<Widened>,
+    /// Each global's value before any store: its static initializer.
+    init: Vec<AVal>,
+    /// During a narrowing round, the summaries being recomputed (walks
+    /// read the current ones and publish here instead).
+    next: Option<Facts>,
     /// `gdeps[g]`: functions whose walk reads global `g` — the ones a
     /// change to `wpv[g]` can re-derive facts in.
     gdeps: Vec<Vec<u32>>,
@@ -359,7 +476,7 @@ impl Engine {
         // Dependency edges for the sparse worklist: which functions a
         // changed global summary or return summary can affect.
         let mut gdeps: Vec<Vec<u32>> = vec![Vec::new(); ng];
-        for (fi, row) in sums.mentions.iter().enumerate() {
+        for (fi, row) in sums.reads.iter().enumerate() {
             for (gi, &m) in row.iter().enumerate() {
                 if m {
                     gdeps[gi].push(fi as u32);
@@ -375,29 +492,28 @@ impl Engine {
                 }
             }
         }
+        let roots = root_entries(program);
         let mut eng = Engine {
             domain,
             harden,
             sums,
+            entry: roots.clone(),
+            entry_hard: roots,
+            init: wpv.clone(),
             wpv,
-            entry: vec![None; nf],
-            entry_hard: vec![None; nf],
             retv: vec![AVal::Bot; nf],
             retv_hard: vec![AVal::Bot; nf],
+            rounds: 0,
             changed: true,
+            widen: false,
+            widened: Vec::new(),
+            next: None,
             gdeps,
             callers,
             // Everyone starts dirty: round 1 walks every live function,
             // exactly like the dense engine did.
             dirty: vec![true; nf],
         };
-        // Roots have no parameters.
-        for (i, f) in program.functions.iter().enumerate() {
-            if program.entry == Some(FuncId(i as u32)) || f.interrupt.is_some() {
-                eng.entry[i] = Some(vec![]);
-                eng.entry_hard[i] = Some(vec![]);
-            }
-        }
         // Move the bodies out of the program so the walker can borrow
         // the rest of it as context — no per-round (or any) body clones.
         let mut bodies: Vec<Block> = program
@@ -405,29 +521,15 @@ impl Engine {
             .iter_mut()
             .map(|f| std::mem::take(&mut f.body))
             .collect();
-        let mut rounds = 0;
-        // The loop condition (and therefore the fixpoint reached) is the
-        // same as the dense engine's; `dirty` only filters *within* a
-        // round. A clean function's inputs — its entry values, the
-        // globals it mentions, its callees' return summaries — are
-        // unchanged since its last walk, and a walk over unchanged
-        // inputs re-derives exactly the joins it already published
-        // (joins are monotone and idempotent), so skipping it cannot
-        // alter any summary or the round count.
-        while eng.changed && rounds < 12 {
-            eng.changed = false;
-            rounds += 1;
-            for (fi, body) in bodies.iter_mut().enumerate() {
-                if !eng.dirty[fi] {
-                    continue;
-                }
-                eng.dirty[fi] = false;
-                if !eng.sums.reachable[fi] || eng.entry[fi].is_none() {
-                    continue;
-                }
-                let mut stats = EngineStats::default();
-                eng.walk_function(program, fi, body, false, &mut stats);
-            }
+        eng.ascend(program, &mut bodies);
+        // A post-fixpoint that widening overshot: narrow it once, then
+        // let the ascending rounds confirm that the narrowed summaries
+        // are still a post-fixpoint (they re-walk every function whose
+        // inputs shrank).
+        if !eng.changed && !eng.widened.is_empty() {
+            eng.rounds += 1;
+            eng.changed = eng.narrow(program, &mut bodies);
+            eng.ascend(program, &mut bodies);
         }
         for (f, body) in program.functions.iter_mut().zip(bodies) {
             f.body = body;
@@ -435,8 +537,189 @@ impl Engine {
         eng
     }
 
-    /// Re-queues every function that mentions global `gi` (its walk can
-    /// derive different facts once `wpv[gi]` widens).
+    /// Ascending rounds until nothing changes. `dirty` only filters
+    /// *within* a round: a clean function's inputs — its entry values,
+    /// the globals it reads, its callees' return summaries — are
+    /// unchanged since its last walk, and a walk over unchanged inputs
+    /// re-derives exactly the joins (or widenings) it already published —
+    /// both are idempotent on a value already covered — so skipping it
+    /// cannot alter any summary or the round count.
+    fn ascend(&mut self, program: &Program, bodies: &mut [Block]) {
+        while self.changed && self.rounds < MAX_ROUNDS {
+            self.changed = false;
+            if !self.dirty.contains(&true) {
+                // Nothing to re-walk: the summaries are already stable.
+                break;
+            }
+            self.widen = self.rounds >= WIDEN_ROUND;
+            self.rounds += 1;
+            for (fi, body) in bodies.iter_mut().enumerate() {
+                if !self.dirty[fi] {
+                    continue;
+                }
+                self.dirty[fi] = false;
+                if !self.sums.reachable[fi] || self.entry[fi].is_none() {
+                    continue;
+                }
+                self.walk_function(program, fi, body, false, &mut EngineStats::default());
+            }
+        }
+    }
+
+    /// One narrowing round. Every summary a widening overshot is
+    /// recomputed from scratch — a global from its initializer, entry
+    /// slots and returns from bottom — by walking the functions that
+    /// contribute to it under the current summaries; every other summary
+    /// keeps its value, which the same walks already cover. Starting
+    /// from a post-fixpoint, the result is still sound and drops what
+    /// widening overshot: a counter stored as `(c + 1) % 8` and widened
+    /// to its type's range reads `[0,7]` again. Functions whose inputs
+    /// shrank are marked dirty for the confirming ascending rounds.
+    /// Returns whether any summary changed.
+    fn narrow(&mut self, program: &Program, bodies: &mut [Block]) -> bool {
+        let mut next = Facts {
+            wpv: self.wpv.clone(),
+            entry: self.entry.clone(),
+            entry_hard: self.entry_hard.clone(),
+            retv: self.retv.clone(),
+            retv_hard: self.retv_hard.clone(),
+        };
+        let mut walk = vec![false; bodies.len()];
+        self.widened.sort_unstable();
+        self.widened.dedup();
+        for &w in &self.widened {
+            let contributors: &[u32] = match w {
+                Widened::Global(gi) => {
+                    next.wpv[gi] = self.init[gi];
+                    // Every function that stores `gi` mentions it.
+                    for (fi, row) in self.sums.mentions.iter().enumerate() {
+                        walk[fi] |= row[gi];
+                    }
+                    &[]
+                }
+                Widened::Entry(fi) => {
+                    for slots in [&mut next.entry[fi], &mut next.entry_hard[fi]] {
+                        slots.iter_mut().for_each(|s| s.fill(AVal::Bot));
+                    }
+                    &self.callers[fi]
+                }
+                Widened::Return(fi) => {
+                    next.retv[fi] = AVal::Bot;
+                    next.retv_hard[fi] = AVal::Bot;
+                    walk[fi] = true;
+                    &[]
+                }
+            };
+            for &f in contributors {
+                walk[f as usize] = true;
+            }
+        }
+        self.next = Some(next);
+        for (fi, body) in bodies.iter_mut().enumerate() {
+            if walk[fi] && self.sums.reachable[fi] && self.entry[fi].is_some() {
+                self.walk_function(program, fi, body, false, &mut EngineStats::default());
+            }
+        }
+        let next = self.next.take().expect("set above");
+        let mut changed = false;
+        for gi in 0..next.wpv.len() {
+            if next.wpv[gi] != self.wpv[gi] {
+                self.mark_global_deps(gi);
+                changed = true;
+            }
+        }
+        for fi in 0..next.retv.len() {
+            if next.entry[fi] != self.entry[fi] || next.entry_hard[fi] != self.entry_hard[fi] {
+                self.dirty[fi] = true;
+                changed = true;
+            }
+            if next.retv[fi] != self.retv[fi] || next.retv_hard[fi] != self.retv_hard[fi] {
+                self.mark_callers(fi);
+                changed = true;
+            }
+        }
+        self.wpv = next.wpv;
+        self.entry = next.entry;
+        self.entry_hard = next.entry_hard;
+        self.retv = next.retv;
+        self.retv_hard = next.retv_hard;
+        changed
+    }
+
+    /// Records how summary `what` grew; returns whether it changed.
+    fn note(&mut self, grew: Grew, what: Widened) -> bool {
+        if grew == Grew::Widened {
+            self.widened.push(what);
+        }
+        grew != Grew::No
+    }
+
+    /// Publishes a store of `v` to global `gi` into its whole-program
+    /// value.
+    fn publish_store(&mut self, gi: usize, v: AVal, kind: IntKind) {
+        if let Some(next) = &mut self.next {
+            next.wpv[gi] = next.wpv[gi].join(v);
+            return;
+        }
+        let grew = grow(&mut self.wpv[gi], v, self.widen, kind);
+        if self.note(grew, Widened::Global(gi)) {
+            self.changed = true;
+            // A wider summary can re-derive facts in any function that
+            // reads this global.
+            self.mark_global_deps(gi);
+        }
+    }
+
+    /// Publishes one call site's argument values (both worlds) into
+    /// `callee`'s entry slots.
+    fn publish_call(&mut self, callee: usize, f: &Function, vals: &[AVal], vals_hard: &[AVal]) {
+        let widen = self.widen && self.next.is_none();
+        let (entry, entry_hard) = match &mut self.next {
+            Some(next) => (&mut next.entry[callee], &mut next.entry_hard[callee]),
+            None => (&mut self.entry[callee], &mut self.entry_hard[callee]),
+        };
+        // First call site discovered for this callee: it needs a walk
+        // even if every slot join below is a no-op (a 0-param callee has
+        // no slots at all), so discovery counts as a change.
+        let created = entry.is_none();
+        let mut grew = Grew::No;
+        for (slots, vals) in [(entry, vals), (entry_hard, vals_hard)] {
+            let slots = slots.get_or_insert_with(|| vec![AVal::Bot; f.params as usize]);
+            for ((slot, v), l) in slots.iter_mut().zip(vals).zip(&f.locals) {
+                grew = grew.max(grow(slot, *v, widen, widen_kind(&l.ty)));
+            }
+        }
+        if self.next.is_some() {
+            return;
+        }
+        if self.note(grew, Widened::Entry(callee)) || created {
+            self.changed = true;
+            self.dirty[callee] = true;
+        }
+    }
+
+    /// Publishes a `return` of `v` (hardened twin `vh`) from `fi`.
+    fn publish_return(&mut self, fi: usize, v: AVal, vh: AVal, kind: IntKind) {
+        if let Some(next) = &mut self.next {
+            next.retv[fi] = next.retv[fi].join(v);
+            next.retv_hard[fi] = next.retv_hard[fi].join(vh);
+            return;
+        }
+        let grew = grow(&mut self.retv[fi], v, self.widen, kind).max(grow(
+            &mut self.retv_hard[fi],
+            vh,
+            self.widen,
+            kind,
+        ));
+        if self.note(grew, Widened::Return(fi)) {
+            self.changed = true;
+            // A wider return summary feeds back into every call site.
+            self.mark_callers(fi);
+        }
+    }
+
+    /// Re-queues every function that reads global `gi` (its walk can
+    /// derive different facts once `wpv[gi]` changes).
     fn mark_global_deps(&mut self, gi: usize) {
         for i in 0..self.gdeps[gi].len() {
             let f = self.gdeps[gi][i] as usize;
@@ -759,14 +1042,8 @@ impl Walker<'_> {
                 let gi = g.0 as usize;
                 env.globals[gi] = v;
                 // Every store contributes to the whole-program value.
-                let j = self.eng.wpv[gi].join(v);
-                if j != self.eng.wpv[gi] {
-                    self.eng.wpv[gi] = j;
-                    self.eng.changed = true;
-                    // A wider summary can re-derive facts in any function
-                    // that mentions this global.
-                    self.eng.mark_global_deps(gi);
-                }
+                let kind = widen_kind(&self.prog.globals[gi].ty);
+                self.eng.publish_store(gi, v, kind);
             }
             PlaceBase::Deref(_) => {}
         }
@@ -830,37 +1107,8 @@ impl Walker<'_> {
                     vals.clone()
                 };
                 // Join into the callee's entry summaries (both worlds).
-                let params = self.prog.functions[callee].params as usize;
-                let mut changed = false;
-                // First call site discovered for this callee: it needs a
-                // walk even if every slot join below is a no-op (a
-                // 0-param callee has no slots at all). Note that mere
-                // discovery does not set `eng.changed` — the dense
-                // engine didn't either, and the round count must match.
-                let created = self.eng.entry[callee].is_none();
-                let entry = self.eng.entry[callee].get_or_insert_with(|| vec![AVal::Bot; params]);
-                for (slot, v) in entry.iter_mut().zip(vals.iter()) {
-                    let j = slot.join(*v);
-                    if j != *slot {
-                        *slot = j;
-                        changed = true;
-                    }
-                }
-                let entry_hard =
-                    self.eng.entry_hard[callee].get_or_insert_with(|| vec![AVal::Bot; params]);
-                for (slot, v) in entry_hard.iter_mut().zip(vals_hard.iter()) {
-                    let j = slot.join(*v);
-                    if j != *slot {
-                        *slot = j;
-                        changed = true;
-                    }
-                }
-                if changed {
-                    self.eng.changed = true;
-                }
-                if created || changed {
-                    self.eng.dirty[callee] = true;
-                }
+                let callee_fn = &self.prog.functions[callee];
+                self.eng.publish_call(callee, callee_fn, &vals, &vals_hard);
                 // Havoc globals the callee writes (indexing into the
                 // summary row directly — no clone per call site).
                 for gi in 0..env.globals.len() {
@@ -930,24 +1178,8 @@ impl Walker<'_> {
                     } else {
                         v
                     };
-                    let mut grew = false;
-                    let j = self.eng.retv[self.fidx].join(v);
-                    if j != self.eng.retv[self.fidx] {
-                        self.eng.retv[self.fidx] = j;
-                        self.eng.changed = true;
-                        grew = true;
-                    }
-                    let jh = self.eng.retv_hard[self.fidx].join(vh);
-                    if jh != self.eng.retv_hard[self.fidx] {
-                        self.eng.retv_hard[self.fidx] = jh;
-                        self.eng.changed = true;
-                        grew = true;
-                    }
-                    if grew {
-                        // A wider return summary feeds back into every
-                        // call site.
-                        self.eng.mark_callers(self.fidx);
-                    }
+                    let kind = widen_kind(&self.func().ret);
+                    self.eng.publish_return(self.fidx, v, vh, kind);
                 }
                 env.reachable = false;
             }

@@ -113,6 +113,10 @@ pub struct CxpropStats {
     pub atomics: AtomicStats,
     /// Race refinement result.
     pub races: RaceReport,
+    /// The most fixpoint rounds any one engine analysis of the run took
+    /// (see [`engine::Engine::rounds`]); below [`engine::MAX_ROUNDS`]
+    /// when every analysis converged.
+    pub analysis_rounds: usize,
 }
 
 /// Runs the full cXprop pipeline over `program` in place.
@@ -127,6 +131,7 @@ pub fn optimize(program: &mut Program, options: &CxpropOptions) -> CxpropStats {
     for _ in 0..options.max_rounds {
         let mut changed = false;
         let mut eng = engine::Engine::analyze_opts(program, options.domain, options.fault_harden);
+        stats.analysis_rounds = stats.analysis_rounds.max(eng.rounds);
         let es = eng.transform(program);
         stats.engine.checks_removed += es.checks_removed;
         stats.engine.branches_folded += es.branches_folded;
@@ -322,6 +327,81 @@ mod tests {
             },
         );
         assert_eq!(p.count_checks(), 0, "mask-at-access proof is fault-proof");
+    }
+
+    /// Compiles `p`, runs it to completion and returns the LED register.
+    fn leds_after_run(p: &Program) -> u8 {
+        let image = backend::compile(
+            p,
+            mcu::Profile::mica2(),
+            &backend::BackendOptions::default(),
+        )
+        .unwrap();
+        let mut m = mcu::Machine::new(&image);
+        m.run(1_000_000);
+        assert_eq!(m.state, mcu::RunState::Halted, "{:?}", m.fault_message());
+        m.devices.leds.value
+    }
+
+    #[test]
+    fn counter_guard_survives_per_call_increments() {
+        // `cnt` grows by one per call to `put`. Joined summaries read
+        // `[0,1]`, `[0,2]`, … one step per analysis round; an analysis cut
+        // off at its round cap then folds `cnt >= 16` to false and `put`
+        // accepts all 20 calls. The widened summary keeps the guard.
+        let src = "
+             uint8_t cnt;
+             uint8_t accepted;
+             uint8_t put() {
+                 if (cnt >= 16) { return 0; }
+                 cnt = (uint8_t)(cnt + 1);
+                 return 1;
+             }
+             void main() {
+                 uint8_t i;
+                 for (i = 0; i < 20; i++) { accepted = (uint8_t)(accepted + put()); }
+                 __hw_write8(0xF000, (uint8_t)(accepted == 16));
+             }";
+        let mut p = tcil::parse_and_lower(src).unwrap();
+        let eng = engine::Engine::analyze(&mut p, DomainKind::Intervals);
+        assert!(eng.rounds < engine::MAX_ROUNDS, "ran {} rounds", eng.rounds);
+        let opts = CxpropOptions {
+            inline: false,
+            ..Default::default()
+        };
+        let stats = optimize(&mut p, &opts);
+        assert!(stats.analysis_rounds < engine::MAX_ROUNDS, "{stats:?}");
+        assert_eq!(leds_after_run(&p), 1, "put accepted more than 16 calls");
+    }
+
+    #[test]
+    fn callee_discovered_in_a_quiet_round_is_analyzed() {
+        // `put` precedes `main`, so round 1 walks `main` only after
+        // skipping `put`, and `main` changes no summary that round. If
+        // discovering the call did not count as a change, the analysis
+        // would stop there and the transform would fold `put` on
+        // summaries it never contributed to (`cnt` still `[0,0]`).
+        let src = "
+             uint8_t cnt;
+             uint8_t put() {
+                 if (cnt >= 16) { return 0; }
+                 cnt = (uint8_t)(cnt + 1);
+                 return 1;
+             }
+             void main() {
+                 uint8_t i;
+                 uint8_t ok;
+                 ok = 0;
+                 for (i = 0; i < 20; i++) { ok = (uint8_t)(ok + put()); }
+                 __hw_write8(0xF000, (uint8_t)(ok == 16));
+             }";
+        let mut p = tcil::parse_and_lower(src).unwrap();
+        let opts = CxpropOptions {
+            inline: false,
+            ..Default::default()
+        };
+        optimize(&mut p, &opts);
+        assert_eq!(leds_after_run(&p), 1, "put accepted more than 16 calls");
     }
 
     #[test]
