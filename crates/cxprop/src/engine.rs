@@ -90,6 +90,9 @@ pub const MAX_ROUNDS: usize = 12;
 /// stored once) keep their exact range.
 pub const WIDEN_ROUND: usize = 2;
 
+/// [`Engine::slot`] of a global the walked function never mentions.
+const UNTRACKED: u32 = u32::MAX;
+
 /// The interprocedural summaries a narrowing round recomputes.
 struct Facts {
     wpv: Vec<AVal>,
@@ -108,19 +111,6 @@ enum Widened {
     Entry(usize),
     /// A function's return summary (both worlds).
     Return(usize),
-}
-
-/// Entry summaries before any call site is seen: roots (`main` and
-/// interrupt handlers) are live and take no parameters.
-fn root_entries(program: &Program) -> Vec<Option<Vec<AVal>>> {
-    program
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            (program.entry == Some(FuncId(i as u32)) || f.interrupt.is_some()).then(Vec::new)
-        })
-        .collect()
 }
 
 /// How [`grow`] changed a summary.
@@ -352,6 +342,10 @@ pub fn summarize(program: &Program) -> Summaries {
 /// corrupted to an arbitrary value of its type (see the module docs).
 /// Globals need no shadow — their hardened value is always their type's
 /// top, by definition of the fault model.
+///
+/// `globals` holds flow values only for the globals the walked function
+/// mentions (one slot each, in ascending global order): the walk never
+/// reads any other, so copies and joins skip them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Env {
     locals: Vec<AVal>,
@@ -430,6 +424,12 @@ pub struct Engine {
     /// `gdeps[g]`: functions whose walk reads global `g` — the ones a
     /// change to `wpv[g]` can re-derive facts in.
     gdeps: Vec<Vec<u32>>,
+    /// `tracked[f]`: the globals `f` mentions, ascending — the slots of
+    /// [`Env::globals`] in a walk of `f`.
+    tracked: Vec<Vec<u32>>,
+    /// During a walk, each tracked global's slot in [`Env::globals`]
+    /// ([`UNTRACKED`] for every other global).
+    slot: Vec<u32>,
     /// Call-graph inverse: `callers[f]` = functions with a call to `f`
     /// (deduplicated), dirtied when `f`'s return summary grows.
     callers: Vec<Vec<u32>>,
@@ -483,6 +483,11 @@ impl Engine {
                 }
             }
         }
+        let tracked: Vec<Vec<u32>> = sums
+            .mentions
+            .iter()
+            .map(|row| (0..ng as u32).filter(|&g| row[g as usize]).collect())
+            .collect();
         let mut callers: Vec<Vec<u32>> = vec![Vec::new(); nf];
         for (fi, callees) in sums.callees.iter().enumerate() {
             for &c in callees {
@@ -492,15 +497,14 @@ impl Engine {
                 }
             }
         }
-        let roots = root_entries(program);
         let mut eng = Engine {
             domain,
             harden,
             sums,
-            entry: roots.clone(),
-            entry_hard: roots,
             init: wpv.clone(),
             wpv,
+            entry: vec![None; nf],
+            entry_hard: vec![None; nf],
             retv: vec![AVal::Bot; nf],
             retv_hard: vec![AVal::Bot; nf],
             rounds: 0,
@@ -509,11 +513,20 @@ impl Engine {
             widened: Vec::new(),
             next: None,
             gdeps,
+            tracked,
+            slot: vec![UNTRACKED; ng],
             callers,
             // Everyone starts dirty: round 1 walks every live function,
             // exactly like the dense engine did.
             dirty: vec![true; nf],
         };
+        // Roots have no parameters.
+        for (i, f) in program.functions.iter().enumerate() {
+            if program.entry == Some(FuncId(i as u32)) || f.interrupt.is_some() {
+                eng.entry[i] = Some(vec![]);
+                eng.entry_hard[i] = Some(vec![]);
+            }
+        }
         // Move the bodies out of the program so the walker can borrow
         // the rest of it as context — no per-round (or any) body clones.
         let mut bodies: Vec<Block> = program
@@ -591,9 +604,10 @@ impl Engine {
             let contributors: &[u32] = match w {
                 Widened::Global(gi) => {
                     next.wpv[gi] = self.init[gi];
-                    // Every function that stores `gi` mentions it.
+                    // A function that stores `gi` both mentions and
+                    // writes it.
                     for (fi, row) in self.sums.mentions.iter().enumerate() {
-                        walk[fi] |= row[gi];
+                        walk[fi] |= row[gi] && self.sums.writes[fi][gi];
                     }
                     &[]
                 }
@@ -784,7 +798,10 @@ impl Engine {
         Env {
             locals,
             hard_locals,
-            globals: self.wpv.clone(),
+            globals: self.tracked[fi]
+                .iter()
+                .map(|&g| self.wpv[g as usize])
+                .collect(),
             reachable: true,
         }
     }
@@ -798,6 +815,9 @@ impl Engine {
         stats: &mut EngineStats,
     ) {
         let mut env = self.entry_env(program, fi);
+        for (s, &g) in self.tracked[fi].iter().enumerate() {
+            self.slot[g as usize] = s as u32;
+        }
         let mut w = Walker {
             eng: self,
             prog: program,
@@ -807,9 +827,8 @@ impl Engine {
             loop_breaks: Vec::new(),
         };
         w.walk_block(body, &mut env, stats);
-        // A void function falling off the end "returns" unit.
-        if program.functions[fi].ret == Type::Void && env.reachable {
-            // nothing to record
+        for &g in &self.tracked[fi] {
+            self.slot[g as usize] = UNTRACKED;
         }
     }
 }
@@ -846,6 +865,23 @@ struct Walker<'a> {
 impl Walker<'_> {
     fn func(&self) -> &Function {
         &self.prog.functions[self.fidx]
+    }
+
+    /// Global `g`'s slot in [`Env::globals`], if the walked function
+    /// mentions it.
+    fn slot(&self, g: usize) -> Option<usize> {
+        let s = self.eng.slot[g];
+        (s != UNTRACKED).then_some(s as usize)
+    }
+
+    /// Resets the flow value of every tracked global that `pick` selects
+    /// to its whole-program value.
+    fn refresh(&self, env: &mut Env, pick: impl Fn(usize) -> bool) {
+        for (v, &g) in env.globals.iter_mut().zip(&self.eng.tracked[self.fidx]) {
+            if pick(g as usize) {
+                *v = self.eng.wpv[g as usize];
+            }
+        }
     }
 
     /// Whether loads of global `g` may use the flow-sensitive value.
@@ -988,10 +1024,9 @@ impl Walker<'_> {
                     // type (`const` globals live in ROM and are immune).
                     return AVal::top_for(&p.ty);
                 }
-                if self.refinable(gi) {
-                    env.globals[gi]
-                } else {
-                    self.eng.wpv[gi]
+                match self.slot(gi) {
+                    Some(s) if self.refinable(gi) => env.globals[s],
+                    _ => self.eng.wpv[gi],
                 }
             }
             PlaceBase::Deref(_) => AVal::top_for(&p.ty),
@@ -1040,7 +1075,9 @@ impl Walker<'_> {
             }
             PlaceBase::Global(g) => {
                 let gi = g.0 as usize;
-                env.globals[gi] = v;
+                if let Some(s) = self.slot(gi) {
+                    env.globals[s] = v;
+                }
                 // Every store contributes to the whole-program value.
                 let kind = widen_kind(&self.prog.globals[gi].ty);
                 self.eng.publish_store(gi, v, kind);
@@ -1093,7 +1130,7 @@ impl Walker<'_> {
                 } else {
                     v
                 };
-                self.assign_place(&place.clone(), v, vh, env);
+                self.assign_place(place, v, vh, env);
             }
             Stmt::Call { dst, func, args } => {
                 let callee = func.0 as usize;
@@ -1109,26 +1146,21 @@ impl Walker<'_> {
                 // Join into the callee's entry summaries (both worlds).
                 let callee_fn = &self.prog.functions[callee];
                 self.eng.publish_call(callee, callee_fn, &vals, &vals_hard);
-                // Havoc globals the callee writes (indexing into the
-                // summary row directly — no clone per call site).
-                for gi in 0..env.globals.len() {
-                    if self.eng.sums.writes[callee][gi] {
-                        env.globals[gi] = self.eng.wpv[gi];
-                    }
-                }
-                if let Some(d) = dst.clone() {
+                // Havoc the tracked globals the callee writes.
+                self.refresh(env, |g| self.eng.sums.writes[callee][g]);
+                if let Some(d) = dst {
                     let rv = self.eng.retv[callee];
                     let rvh = self.eng.retv_hard[callee];
-                    self.assign_place(&d, rv, rvh, env);
+                    self.assign_place(d, rv, rvh, env);
                 }
             }
             Stmt::BuiltinCall { dst, args, .. } => {
                 for a in args.iter_mut() {
                     self.fold_expr_to_const(a, env, stats);
                 }
-                if let Some(d) = dst.clone() {
+                if let Some(d) = dst {
                     let top = AVal::top_for(&d.ty);
-                    self.assign_place(&d, top, top, env);
+                    self.assign_place(d, top, top, env);
                 }
             }
             Stmt::If { cond, then_, else_ } => {
@@ -1151,19 +1183,16 @@ impl Walker<'_> {
                     self.walk_block(b, env, stats);
                     return;
                 }
+                // The else branch walks `env` itself; joins commute.
                 let mut env_t = env.clone();
-                let mut env_f = env.clone();
                 self.refine_cond(cond, true, &mut env_t);
-                self.refine_cond(cond, false, &mut env_f);
+                self.refine_cond(cond, false, env);
                 self.walk_block(then_, &mut env_t, stats);
-                self.walk_block(else_, &mut env_f, stats);
-                if env_t.reachable {
-                    *env = env_t;
-                    if env_f.reachable {
-                        env.join_from(&env_f);
-                    }
+                self.walk_block(else_, env, stats);
+                if env.reachable {
+                    env.join_from(&env_t);
                 } else {
-                    *env = env_f;
+                    *env = env_t;
                 }
             }
             Stmt::While { cond, body } => {
@@ -1196,18 +1225,10 @@ impl Walker<'_> {
             Stmt::Atomic { body, .. } => {
                 self.atomic += 1;
                 // Fresh observation point for async-touched globals.
-                for gi in 0..env.globals.len() {
-                    if self.eng.sums.async_touched[gi] {
-                        env.globals[gi] = self.eng.wpv[gi];
-                    }
-                }
+                self.refresh(env, |g| self.eng.sums.async_touched[g]);
                 self.walk_block(body, env, stats);
                 self.atomic -= 1;
-                for gi in 0..env.globals.len() {
-                    if self.eng.sums.async_touched[gi] {
-                        env.globals[gi] = self.eng.wpv[gi];
-                    }
-                }
+                self.refresh(env, |g| self.eng.sums.async_touched[g]);
             }
             Stmt::Block(b) => self.walk_block(b, env, stats),
             Stmt::Check(c) => {
@@ -1226,7 +1247,7 @@ impl Walker<'_> {
                     // Execution continues only if the check passed:
                     // refine (the hardened shadow too — the running code
                     // really did pass this check).
-                    self.refine_check(&c.clone(), env);
+                    self.refine_check(c, env);
                 }
             }
             Stmt::Nop => {}
@@ -1240,55 +1261,23 @@ impl Walker<'_> {
         env: &mut Env,
         stats: &mut EngineStats,
     ) {
-        // Fixpoint over the loop head (analysis semantics; in transform
-        // mode the invariant is computed on a scratch copy first).
+        // Fixpoint over the loop head, with analysis semantics even in
+        // transform mode: with transforms disabled a walk never mutates
+        // the body, so the fixpoint walks it in place.
+        let transform = std::mem::replace(&mut self.transform, false);
         let mut head = env.clone();
         for round in 0..4 {
             let mut iter_env = head.clone();
             self.refine_cond(cond, true, &mut iter_env);
             self.loop_breaks.push(Vec::new());
-            let mut sink = EngineStats::default();
-            if self.transform {
-                // The fixpoint must not rewrite the body: iterate on a
-                // scratch copy with transforms disabled.
-                let mut scratch = body.clone();
-                self.transform = false;
-                self.walk_block(&mut scratch, &mut iter_env, &mut sink);
-                self.transform = true;
-            } else {
-                // Analysis never mutates: walk the body in place.
-                self.walk_block(body, &mut iter_env, &mut sink);
-            }
-            let _breaks = self.loop_breaks.pop();
-            let mut merged = head.clone();
-            let changed = if iter_env.reachable {
-                merged.join_from(&iter_env)
-            } else {
-                false
-            };
-            if !changed {
-                head = merged;
+            self.walk_block(body, &mut iter_env, &mut EngineStats::default());
+            self.loop_breaks.pop();
+            // Widen from the second round on to guarantee termination.
+            if !iter_env.reachable || !self.join_head(&mut head, &iter_env, round >= 1) {
                 break;
             }
-            if round >= 1 {
-                // Widen to guarantee termination.
-                for (i, l) in merged.locals.iter().enumerate() {
-                    let k = self.func().locals[i].ty.as_int().unwrap_or(IntKind::I32);
-                    head.locals[i] = head.locals[i].widen(*l, k);
-                }
-                for (i, l) in merged.hard_locals.iter().enumerate() {
-                    let k = self.func().locals[i].ty.as_int().unwrap_or(IntKind::I32);
-                    head.hard_locals[i] = head.hard_locals[i].widen(*l, k);
-                }
-                for (i, g) in merged.globals.iter().enumerate() {
-                    let k = self.prog.globals[i].ty.as_int().unwrap_or(IntKind::I32);
-                    head.globals[i] = head.globals[i].widen(*g, k);
-                }
-                head.reachable = true;
-            } else {
-                head = merged;
-            }
         }
+        self.transform = transform;
         // Decided loop condition?
         let entry_truth = self.eval(cond, &head).truth();
         if self.transform
@@ -1297,11 +1286,7 @@ impl Walker<'_> {
         {
             // Loop never runs at all.
             stats.branches_folded += 1;
-            *env = {
-                let mut e = env.clone();
-                self.refine_cond(cond, false, &mut e);
-                e
-            };
+            self.refine_cond(cond, false, env);
             cond.kind = ExprKind::Const(0);
             body.clear();
             return;
@@ -1325,6 +1310,32 @@ impl Walker<'_> {
             exit.join_from(b);
         }
         *env = exit;
+    }
+
+    /// Joins `next` into the reachable loop head `head` in place, with
+    /// `widen` widening every cell that grows at its declared kind.
+    /// Returns whether the head changed.
+    fn join_head(&self, head: &mut Env, next: &Env, widen: bool) -> bool {
+        let locals = self.func().locals.iter().map(|l| &l.ty);
+        let globals = self.eng.tracked[self.fidx]
+            .iter()
+            .map(|&g| &self.prog.globals[g as usize].ty);
+        let types = locals.clone().chain(locals).chain(globals);
+        let cells = head
+            .locals
+            .iter_mut()
+            .chain(&mut head.hard_locals)
+            .chain(&mut head.globals);
+        let nexts = next
+            .locals
+            .iter()
+            .chain(&next.hard_locals)
+            .chain(&next.globals);
+        let mut changed = false;
+        for ((cell, &v), ty) in cells.zip(nexts).zip(types) {
+            changed |= grow(cell, v, widen, widen_kind(ty)) != Grew::No;
+        }
+        changed
     }
 
     // ----- refinement -----
@@ -1441,10 +1452,9 @@ impl Walker<'_> {
             }
             PlaceBase::Global(g) => {
                 let gi = g.0 as usize;
-                if self.refinable(gi) {
-                    Some((RefTarget::Global(gi), env.globals[gi]))
-                } else {
-                    None
+                match self.slot(gi) {
+                    Some(s) if self.refinable(gi) => Some((RefTarget::Global(s), env.globals[s])),
+                    _ => None,
                 }
             }
             PlaceBase::Deref(_) => None,
@@ -1560,5 +1570,6 @@ impl Walker<'_> {
 #[derive(Clone, Copy)]
 enum RefTarget {
     Local(usize),
+    /// A slot of [`Env::globals`].
     Global(usize),
 }
