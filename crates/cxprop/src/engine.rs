@@ -139,6 +139,36 @@ fn grow(slot: &mut AVal, v: AVal, widen: bool, kind: IntKind) -> Grew {
     }
 }
 
+/// The order analysis rounds walk functions in: a reverse postorder of
+/// the call graph from `roots`, so callers come before callees and an
+/// entry summary reaches a whole call chain in one round, then every
+/// function no root reaches.
+fn walk_order(roots: &[usize], callees: &[Vec<u32>]) -> Vec<usize> {
+    let mut seen = vec![false; callees.len()];
+    let mut post = Vec::with_capacity(callees.len());
+    for &r in roots {
+        if std::mem::replace(&mut seen[r], true) {
+            continue;
+        }
+        // (function, index of its next callee to visit)
+        let mut stack = vec![(r, 0)];
+        while let Some((f, k)) = stack.pop() {
+            match callees[f].get(k) {
+                Some(&c) => {
+                    stack.push((f, k + 1));
+                    if !std::mem::replace(&mut seen[c as usize], true) {
+                        stack.push((c as usize, 0));
+                    }
+                }
+                None => post.push(f),
+            }
+        }
+    }
+    post.reverse();
+    post.extend((0..callees.len()).filter(|&i| !seen[i]));
+    post
+}
+
 /// The integer kind widening uses for a value of type `ty`.
 fn widen_kind(ty: &Type) -> IntKind {
     ty.as_int().unwrap_or(IntKind::I32)
@@ -430,6 +460,8 @@ pub struct Engine {
     /// During a walk, each tracked global's slot in [`Env::globals`]
     /// ([`UNTRACKED`] for every other global).
     slot: Vec<u32>,
+    /// The order a round walks functions in (see [`walk_order`]).
+    order: Vec<usize>,
     /// Call-graph inverse: `callers[f]` = functions with a call to `f`
     /// (deduplicated), dirtied when `f`'s return summary grows.
     callers: Vec<Vec<u32>>,
@@ -497,6 +529,12 @@ impl Engine {
                 }
             }
         }
+        let roots: Vec<usize> = (0..nf)
+            .filter(|&i| {
+                program.entry == Some(FuncId(i as u32)) || program.functions[i].interrupt.is_some()
+            })
+            .collect();
+        let order = walk_order(&roots, &sums.callees);
         let mut eng = Engine {
             domain,
             harden,
@@ -515,17 +553,16 @@ impl Engine {
             gdeps,
             tracked,
             slot: vec![UNTRACKED; ng],
+            order,
             callers,
             // Everyone starts dirty: round 1 walks every live function,
             // exactly like the dense engine did.
             dirty: vec![true; nf],
         };
         // Roots have no parameters.
-        for (i, f) in program.functions.iter().enumerate() {
-            if program.entry == Some(FuncId(i as u32)) || f.interrupt.is_some() {
-                eng.entry[i] = Some(vec![]);
-                eng.entry_hard[i] = Some(vec![]);
-            }
+        for &r in &roots {
+            eng.entry[r] = Some(vec![]);
+            eng.entry_hard[r] = Some(vec![]);
         }
         // Move the bodies out of the program so the walker can borrow
         // the rest of it as context — no per-round (or any) body clones.
@@ -566,7 +603,8 @@ impl Engine {
             }
             self.widen = self.rounds >= WIDEN_ROUND;
             self.rounds += 1;
-            for (fi, body) in bodies.iter_mut().enumerate() {
+            for i in 0..self.order.len() {
+                let fi = self.order[i];
                 if !self.dirty[fi] {
                     continue;
                 }
@@ -574,7 +612,13 @@ impl Engine {
                 if !self.sums.reachable[fi] || self.entry[fi].is_none() {
                     continue;
                 }
-                self.walk_function(program, fi, body, false, &mut EngineStats::default());
+                self.walk_function(
+                    program,
+                    fi,
+                    &mut bodies[fi],
+                    false,
+                    &mut EngineStats::default(),
+                );
             }
         }
     }
