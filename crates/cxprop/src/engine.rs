@@ -645,7 +645,7 @@ impl Engine {
         self.widened.sort_unstable();
         self.widened.dedup();
         for &w in &self.widened {
-            let contributors: &[u32] = match w {
+            match w {
                 Widened::Global(gi) => {
                     next.wpv[gi] = self.init[gi];
                     // A function that stores `gi` both mentions and
@@ -653,23 +653,20 @@ impl Engine {
                     for (fi, row) in self.sums.mentions.iter().enumerate() {
                         walk[fi] |= row[gi] && self.sums.writes[fi][gi];
                     }
-                    &[]
                 }
                 Widened::Entry(fi) => {
                     for slots in [&mut next.entry[fi], &mut next.entry_hard[fi]] {
                         slots.iter_mut().for_each(|s| s.fill(AVal::Bot));
                     }
-                    &self.callers[fi]
+                    for &f in &self.callers[fi] {
+                        walk[f as usize] = true;
+                    }
                 }
                 Widened::Return(fi) => {
                     next.retv[fi] = AVal::Bot;
                     next.retv_hard[fi] = AVal::Bot;
                     walk[fi] = true;
-                    &[]
                 }
-            };
-            for &f in contributors {
-                walk[f as usize] = true;
             }
         }
         self.next = Some(next);
