@@ -12,7 +12,10 @@
 //!
 //! * statically safe instructions (constant pushes, ALU ops, accesses to
 //!   addresses proven mapped at decode time) become direct ops with no
-//!   per-execution decode, clone, or memory-map re-check;
+//!   per-execution decode, clone, or memory-map re-check. The proof asks
+//!   the same `MemMap` predicates the interpreter's `load_mem`/`store_mem`
+//!   and the engine's runtime checks ask, so a global decodes to a direct
+//!   op exactly where the interpreter would touch plain RAM;
 //! * hot idioms are fused into superinstructions (`PushI;StGlobal`,
 //!   `PushI;Bin`, `LdGlobal;StGlobal`, and the read-modify-write
 //!   `LdGlobal;PushI;Bin;StGlobal`) — fusion is only permitted over
@@ -34,9 +37,9 @@
 //! difftests that replay one image across thousands of machines decode
 //! it once.
 
-use crate::devices::MMIO_BASE;
 use crate::image::Image;
 use crate::isa::{fat_bytes, AluOp, Instr, UnAluOp, Width};
+use crate::machine::MemMap;
 
 /// Payload of the read-modify-write half of [`OpKind::RmwGKBr`]
 /// (field-for-field the same as [`OpKind::RmwGK`]).
@@ -441,12 +444,12 @@ pub struct BlockCache {
 impl BlockCache {
     /// Decodes every function of `img` into basic blocks.
     pub fn build(img: &Image) -> BlockCache {
-        let sram = (img.profile.sram_base(), img.profile.sram_end());
+        let map = MemMap::new(&img.profile);
         let mut stats = CacheStats::default();
         let funcs = img
             .functions
             .iter()
-            .map(|f| decode_fn(img, &f.code, sram, &mut stats))
+            .map(|f| decode_fn(img, &f.code, map, &mut stats))
             .collect();
         BlockCache { funcs, stats }
     }
@@ -567,19 +570,6 @@ fn pushes(i: &Instr) -> u32 {
     }
 }
 
-/// Whether `[addr, addr+len)` is statically known to be readable RAM-
-/// backed memory: SRAM or the flash window, never MMIO, never the null
-/// page.
-fn static_readable(sram: (u16, u16), addr: u16, len: u32) -> bool {
-    let end = addr as u32 + len;
-    (addr >= sram.0 && end <= sram.1 as u32) || (addr >= 0x8000 && end <= MMIO_BASE as u32)
-}
-
-/// Whether `[addr, addr+len)` is statically known to be writable SRAM.
-fn static_writable(sram: (u16, u16), addr: u16, len: u32) -> bool {
-    addr >= sram.0 && addr as u32 + len <= sram.1 as u32
-}
-
 fn is_divmod(op: AluOp) -> bool {
     matches!(op, AluOp::Div | AluOp::Mod)
 }
@@ -594,7 +584,7 @@ fn branch_sense(i: &Instr) -> Option<(bool, u32)> {
 }
 
 /// Partitions one function's code into blocks.
-fn decode_fn(img: &Image, code: &[Instr], sram: (u16, u16), stats: &mut CacheStats) -> DecodedFn {
+fn decode_fn(img: &Image, code: &[Instr], map: MemMap, stats: &mut CacheStats) -> DecodedFn {
     let n = code.len();
     let mut leader = vec![false; n];
     if n > 0 {
@@ -623,7 +613,7 @@ fn decode_fn(img: &Image, code: &[Instr], sram: (u16, u16), stats: &mut CacheSta
             end += 1;
         }
         block_at[i] = blocks.len() as u32;
-        blocks.push(build_block(img, &code[i..end], sram, stats));
+        blocks.push(build_block(img, &code[i..end], map, stats));
         i = end;
     }
     DecodedFn { blocks, block_at }
@@ -640,7 +630,7 @@ fn mk_op(code: &[Instr], n_instrs: usize, kind: OpKind) -> Op {
 }
 
 /// Translates one straight-line instruction run into a block.
-fn build_block(img: &Image, code: &[Instr], sram: (u16, u16), stats: &mut CacheStats) -> Block {
+fn build_block(img: &Image, code: &[Instr], map: MemMap, stats: &mut CacheStats) -> Block {
     // Cost and entry-depth requirement come from the *original*
     // instruction sequence (fusion never changes either).
     let mut cost = 0u64;
@@ -657,12 +647,12 @@ fn build_block(img: &Image, code: &[Instr], sram: (u16, u16), stats: &mut CacheS
     let mut ops = Vec::new();
     let mut k = 0;
     while k < code.len() {
-        if let Some((op, len)) = try_fuse(&code[k..], sram) {
+        if let Some((op, len)) = try_fuse(&code[k..], map) {
             ops.push(op);
             k += len;
             continue;
         }
-        ops.push(translate_one(&code[k], sram));
+        ops.push(translate_one(&code[k], map));
         k += 1;
     }
     let ops = merge_rmw_br(ops);
@@ -794,7 +784,7 @@ fn local_end(kind: &OpKind) -> u32 {
 /// Tries to fuse a superinstruction at the head of `code`. Fusion is
 /// restricted to constituents that can neither fault nor reach MMIO, so
 /// charging the whole fused cost upfront is unobservable.
-fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
+fn try_fuse(code: &[Instr], map: MemMap) -> Option<(Op, usize)> {
     if code.len() >= 4 {
         // Loop-tail compare-and-branch idioms. A conditional jump is
         // always the last instruction of its block, so these windows can
@@ -806,7 +796,7 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
         }, Instr::PushI(k), Instr::Bin { op, width, signed }, br, ..] = *code
         {
             if let Some((br_if_zero, target)) = branch_sense(&br) {
-                if !is_divmod(op) && static_readable(sram, addr, ld_width.bytes()) {
+                if !is_divmod(op) && map.readable(addr, ld_width.bytes()) {
                     let kind = OpKind::CmpGKBr {
                         addr,
                         ld_width,
@@ -847,8 +837,8 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
         }, ..] = *code
         {
             if !is_divmod(op)
-                && static_readable(sram, ld_addr, ld_width.bytes())
-                && static_writable(sram, st_addr, st_width.bytes())
+                && map.readable(ld_addr, ld_width.bytes())
+                && map.writable(st_addr, st_width.bytes())
             {
                 let kind = OpKind::RmwGK {
                     ld_addr,
@@ -868,7 +858,7 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
     if code.len() >= 2 {
         match *code {
             [Instr::PushI(k), Instr::StGlobal { addr, width }, ..]
-                if static_writable(sram, addr, width.bytes()) =>
+                if map.writable(addr, width.bytes()) =>
             {
                 return Some((mk_op(code, 2, OpKind::StGK { addr, width, k }), 2));
             }
@@ -895,8 +885,8 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
                 addr: st_addr,
                 width: st_width,
             }, ..]
-                if static_readable(sram, ld_addr, ld_width.bytes())
-                    && static_writable(sram, st_addr, st_width.bytes()) =>
+                if map.readable(ld_addr, ld_width.bytes())
+                    && map.writable(st_addr, st_width.bytes()) =>
             {
                 let kind = OpKind::CpGG {
                     ld_addr,
@@ -914,19 +904,19 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
 }
 
 /// Translates a single instruction into its fastest safe op.
-fn translate_one(ins: &Instr, sram: (u16, u16)) -> Op {
+fn translate_one(ins: &Instr, map: MemMap) -> Op {
     let kind = match *ins {
         Instr::PushI(v) => OpKind::PushI(v),
         Instr::LdGlobal {
             addr,
             width,
             signed,
-        } if static_readable(sram, addr, width.bytes()) => OpKind::LdG {
+        } if map.readable(addr, width.bytes()) => OpKind::LdG {
             addr,
             width,
             signed,
         },
-        Instr::StGlobal { addr, width } if static_writable(sram, addr, width.bytes()) => {
+        Instr::StGlobal { addr, width } if map.writable(addr, width.bytes()) => {
             OpKind::StG { addr, width }
         }
         Instr::LdLocal { off, width, signed } => OpKind::LdL { off, width, signed },
@@ -947,10 +937,10 @@ fn translate_one(ins: &Instr, sram: (u16, u16)) -> Op {
         Instr::FatEnd => OpKind::FatEnd,
         Instr::FatBase => OpKind::FatBase,
         Instr::FatAdd => OpKind::FatAdd,
-        Instr::LdGlobalFat { addr, seq } if static_readable(sram, addr, fat_bytes(seq) as u32) => {
+        Instr::LdGlobalFat { addr, seq } if map.readable(addr, fat_bytes(seq) as u32) => {
             OpKind::LdGF { addr, seq }
         }
-        Instr::StGlobalFat { addr, seq } if static_writable(sram, addr, fat_bytes(seq) as u32) => {
+        Instr::StGlobalFat { addr, seq } if map.writable(addr, fat_bytes(seq) as u32) => {
             OpKind::StGF { addr, seq }
         }
         Instr::LdLocalFat { off, seq } => OpKind::LdLF { off, seq },

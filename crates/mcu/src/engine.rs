@@ -35,15 +35,28 @@
 //! [`Machine::arm_torn_watch`]) force every 16-bit and fat-pointer
 //! access through the interpreter's counting `load_mem`/`store_mem`
 //! path, so watch counters advance identically under both engines.
+//!
+//! # One definition of the semantics
+//!
+//! Admitted blocks run in one of two loops: the *pure* loop (no op can
+//! fault or reach a device, no torn watch armed, frame window proven
+//! writable) accounts a whole block at once; the *checked* loop
+//! accounts op by op and flushes its counters before anything
+//! observable. Both call one op body, `Machine::exec_op`, instantiated
+//! with `TORN = false` and `TORN = true`; the checked loop has its own
+//! arms only for frame and dynamic accesses, `Slow`, `Call` and `Term`.
+//! The ALU, `pop`, the unary and fat-pointer helpers, raw RAM access
+//! and the memory map (`MemMap`) live in [`crate::machine`] and serve
+//! the interpreter too. What this module adds over the interpreter is
+//! batching, the fused ops' dispatch and the horizon logic.
 
 use std::cmp::Reverse;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
 use crate::bbcache::{BlockCache, OpKind};
-use crate::devices::MMIO_BASE;
-use crate::isa::{fat_bytes, fat_pack, fat_unpack, AluOp, UnAluOp, Width};
-use crate::machine::{Fault, Machine, RunState};
+use crate::isa::{fat_bytes, fat_pack, fat_unpack, Width};
+use crate::machine::{alu_nodiv, Machine, RunState};
 
 /// Which execution engine [`Machine::run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,53 +127,6 @@ impl Engine {
         match self {
             Engine::Interp => "interp",
             Engine::Bt => "bt",
-        }
-    }
-}
-
-/// ALU for translated/fused ops. Decode routes `Div`/`Mod` (the only
-/// faulting ALU ops) to the slow path, so this mirrors [`Machine::alu`]
-/// with the fault plumbing compiled out — and, unlike the full-width
-/// `alu`, is forced inline into the dispatch loop (LLVM refuses the
-/// `#[inline]` hint there, costing a call per fused op).
-#[inline(always)]
-fn alu_nodiv(op: AluOp, a: i64, b: i64, width: Width, signed: bool) -> i64 {
-    let wa = width.wrap(a, signed);
-    let wb = width.wrap(b, signed);
-    let ua = width.wrap(a, false) as u64;
-    let ub = width.wrap(b, false) as u64;
-    match op {
-        AluOp::Add => width.wrap(wa.wrapping_add(wb), signed),
-        AluOp::Sub => width.wrap(wa.wrapping_sub(wb), signed),
-        AluOp::Mul => width.wrap(wa.wrapping_mul(wb), signed),
-        // Unreachable: decode never translates Div/Mod into fast ops.
-        AluOp::Div | AluOp::Mod => 0,
-        AluOp::And => width.wrap(wa & wb, signed),
-        AluOp::Or => width.wrap(wa | wb, signed),
-        AluOp::Xor => width.wrap(wa ^ wb, signed),
-        AluOp::Shl => width.wrap(wa.wrapping_shl((ub & 31) as u32), signed),
-        AluOp::Shr => {
-            if signed {
-                width.wrap(wa.wrapping_shr((ub & 31) as u32), true)
-            } else {
-                width.wrap((ua >> (ub & 31)) as i64, false)
-            }
-        }
-        AluOp::Eq => (wa == wb) as i64,
-        AluOp::Ne => (wa != wb) as i64,
-        AluOp::Lt => {
-            if signed {
-                (wa < wb) as i64
-            } else {
-                (ua < ub) as i64
-            }
-        }
-        AluOp::Le => {
-            if signed {
-                (wa <= wb) as i64
-            } else {
-                (ua <= ub) as i64
-            }
         }
     }
 }
@@ -239,6 +205,80 @@ impl Machine {
                 cur_func = self.cur_func;
             };
         }
+        // After the interpreter ran an op of the checked loop: stop on
+        // a fault, halt or sleep; after a device write, re-derive the
+        // horizon and leave the block, so the chain re-enters at `pc`
+        // (the faithful single-step takes a mid-block pc).
+        macro_rules! settle {
+            () => {
+                if self.state != RunState::Running {
+                    return progressed;
+                }
+                if self.mmio_sync {
+                    self.mmio_sync = false;
+                    horizon = self.next_horizon(until);
+                    break;
+                }
+            };
+        }
+        // A frame or dynamic access: direct when the memory map proves
+        // the range plain RAM and no torn watch counts it, else through
+        // the interpreter's memory path with the counters flushed.
+        macro_rules! load {
+            ($addr:expr, $width:expr, $signed:expr) => {{
+                let (addr, width, signed) = ($addr, $width, $signed);
+                if self.map.readable(addr, width.bytes()) && !self.torn_guard(width) {
+                    let v = self.ram_read(addr, width, signed);
+                    self.eval.push(v);
+                } else {
+                    sync_out!();
+                    if let Some(v) = self.load_mem(addr, width, signed) {
+                        self.eval.push(v);
+                    }
+                    if self.state != RunState::Running {
+                        return progressed;
+                    }
+                }
+            }};
+        }
+        macro_rules! store {
+            ($addr:expr, $v:expr, $width:expr) => {{
+                let (addr, v, width) = ($addr, $v, $width);
+                if self.map.writable(addr, width.bytes()) && !self.torn_guard(width) {
+                    self.ram_write(addr, v, width);
+                } else {
+                    sync_out!();
+                    self.store_mem(addr, v, width);
+                    settle!();
+                }
+            }};
+        }
+        macro_rules! fat_load {
+            ($addr:expr, $seq:expr) => {{
+                let (addr, seq) = ($addr, $seq);
+                if self.torn_watch.is_none() && self.map.readable(addr, fat_bytes(seq) as u32) {
+                    self.fat_read_direct(addr, seq);
+                } else {
+                    sync_out!();
+                    self.fat_load(addr, seq);
+                    if self.state != RunState::Running {
+                        return progressed;
+                    }
+                }
+            }};
+        }
+        macro_rules! fat_store {
+            ($addr:expr, $cell:expr, $seq:expr) => {{
+                let (addr, cell, seq) = ($addr, $cell, $seq);
+                if self.torn_watch.is_none() && self.map.writable(addr, fat_bytes(seq) as u32) {
+                    self.fat_write_direct(addr, cell, seq);
+                } else {
+                    sync_out!();
+                    self.fat_store(addr, cell, seq);
+                    settle!();
+                }
+            }};
+        }
         'chain: loop {
             // An enabled pending interrupt must be dispatched by the
             // faithful outer loop before the next instruction.
@@ -259,7 +299,7 @@ impl Machine {
             // can fault, reach a device, or observe the counters.
             if block.pure
                 && self.torn_watch.is_none()
-                && (block.local_span == 0 || self.dyn_writable(self.fp, block.local_span))
+                && (block.local_span == 0 || self.map.writable(self.fp, block.local_span))
             {
                 'pure: loop {
                     cycles += block.cost;
@@ -267,204 +307,7 @@ impl Machine {
                     instrs += block.n_instrs as u64;
                     let mut next = pc + block.n_instrs;
                     for op in block.ops.iter() {
-                        match op.kind {
-                            OpKind::PushI(v) => self.eval.push(v),
-                            OpKind::LdG {
-                                addr,
-                                width,
-                                signed,
-                            } => {
-                                let v = self.ram_read(addr, width, signed);
-                                self.eval.push(v);
-                            }
-                            OpKind::StG { addr, width } => {
-                                let v = self.bpop();
-                                self.ram_write(addr, v, width);
-                            }
-                            OpKind::LdL { off, width, signed } => {
-                                let v = self.ram_read(self.fp.wrapping_add(off), width, signed);
-                                self.eval.push(v);
-                            }
-                            OpKind::StL { off, width } => {
-                                let v = self.bpop();
-                                self.ram_write(self.fp.wrapping_add(off), v, width);
-                            }
-                            OpKind::AddrL { off } => {
-                                self.eval.push(self.fp.wrapping_add(off) as i64)
-                            }
-                            OpKind::Bin { op, width, signed } => {
-                                let b = self.bpop();
-                                let a = self.bpop();
-                                self.eval.push(alu_nodiv(op, a, b, width, signed));
-                            }
-                            OpKind::Un { op, width } => {
-                                let a = self.bpop();
-                                let v = match op {
-                                    UnAluOp::Neg => width.wrap(a.wrapping_neg(), false),
-                                    UnAluOp::BitNot => width.wrap(!a, false),
-                                    UnAluOp::Not => (width.wrap(a, false) == 0) as i64,
-                                };
-                                self.eval.push(v);
-                            }
-                            OpKind::Wrap { width, signed } => {
-                                let a = self.bpop();
-                                self.eval.push(width.wrap(a, signed));
-                            }
-                            OpKind::Pop => {
-                                self.bpop();
-                            }
-                            OpKind::Dup => {
-                                let v = self.bpop();
-                                self.eval.push(v);
-                                self.eval.push(v);
-                            }
-                            OpKind::Nop => {}
-                            OpKind::IrqSave => {
-                                self.eval.push(self.irq_enabled as i64);
-                                self.irq_enabled = false;
-                            }
-                            OpKind::IrqDisable => self.irq_enabled = false,
-                            OpKind::MkFat { seq } => {
-                                let end = self.bpop() as u16;
-                                let base = if seq { self.bpop() as u16 } else { 0 };
-                                let val = self.bpop() as u16;
-                                self.eval.push(fat_pack(val, base, end));
-                            }
-                            OpKind::FatVal => {
-                                let (v, _, _) = fat_unpack(self.bpop());
-                                self.eval.push(v as i64);
-                            }
-                            OpKind::FatEnd => {
-                                let (_, _, e) = fat_unpack(self.bpop());
-                                self.eval.push(e as i64);
-                            }
-                            OpKind::FatBase => {
-                                let (_, b, _) = fat_unpack(self.bpop());
-                                self.eval.push(b as i64);
-                            }
-                            OpKind::FatAdd => {
-                                let delta = self.bpop();
-                                let (v, b, e) = fat_unpack(self.bpop());
-                                let nv = (v as i64).wrapping_add(delta) as u16;
-                                self.eval.push(fat_pack(nv, b, e));
-                            }
-                            OpKind::LdGF { addr, seq } => self.fat_read_direct(addr, seq),
-                            OpKind::StGF { addr, seq } => {
-                                let cell = self.bpop();
-                                self.fat_write_direct(addr, cell, seq);
-                            }
-                            OpKind::LdLF { off, seq } => {
-                                self.fat_read_direct(self.fp.wrapping_add(off), seq)
-                            }
-                            OpKind::StLF { off, seq } => {
-                                let cell = self.bpop();
-                                self.fat_write_direct(self.fp.wrapping_add(off), cell, seq);
-                            }
-                            OpKind::StGK { addr, width, k } => self.ram_write(addr, k, width),
-                            OpKind::BinK {
-                                op,
-                                width,
-                                signed,
-                                k,
-                            } => {
-                                let a = self.bpop();
-                                self.eval.push(alu_nodiv(op, a, k, width, signed));
-                            }
-                            OpKind::RmwGK {
-                                ld_addr,
-                                ld_width,
-                                ld_signed,
-                                k,
-                                op,
-                                width,
-                                signed,
-                                st_addr,
-                                st_width,
-                            } => {
-                                let a = self.ram_read(ld_addr, ld_width, ld_signed);
-                                let v = alu_nodiv(op, a, k, width, signed);
-                                self.ram_write(st_addr, v, st_width);
-                            }
-                            OpKind::CpGG {
-                                ld_addr,
-                                ld_width,
-                                ld_signed,
-                                st_addr,
-                                st_width,
-                            } => {
-                                let v = self.ram_read(ld_addr, ld_width, ld_signed);
-                                self.ram_write(st_addr, v, st_width);
-                            }
-                            OpKind::Jmp(target) => next = target,
-                            OpKind::Jz(target) => {
-                                if self.bpop() == 0 {
-                                    next = target;
-                                }
-                            }
-                            OpKind::Jnz(target) => {
-                                if self.bpop() != 0 {
-                                    next = target;
-                                }
-                            }
-                            OpKind::CmpGKBr {
-                                addr,
-                                ld_width,
-                                ld_signed,
-                                k,
-                                op,
-                                width,
-                                signed,
-                                br_if_zero,
-                                target,
-                            } => {
-                                let a = self.ram_read(addr, ld_width, ld_signed);
-                                let v = alu_nodiv(op, a, k, width, signed);
-                                if (v == 0) == br_if_zero {
-                                    next = target;
-                                }
-                            }
-                            OpKind::CmpTopKBr {
-                                k,
-                                op,
-                                width,
-                                signed,
-                                br_if_zero,
-                                target,
-                            } => {
-                                let a = *self.eval.last().expect("stack_in covers CmpTopKBr");
-                                let v = alu_nodiv(op, a, k, width, signed);
-                                if (v == 0) == br_if_zero {
-                                    next = target;
-                                }
-                            }
-                            OpKind::RmwGKBr { rmw, cmp, reload } => {
-                                let a = self.ram_read(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
-                                let v = alu_nodiv(rmw.op, a, rmw.k, rmw.width, rmw.signed);
-                                self.ram_write(rmw.st_addr, v, rmw.st_width);
-                                // When the compare reloads exactly the bytes the
-                                // store just wrote, the reload is a pure
-                                // re-materialisation of `v` — direct reads are
-                                // uncounted, so eliding it is unobservable.
-                                let b = if reload {
-                                    self.ram_read(cmp.addr, cmp.ld_width, cmp.ld_signed)
-                                } else {
-                                    cmp.ld_width.wrap(v, cmp.ld_signed)
-                                };
-                                let f = alu_nodiv(cmp.op, b, cmp.k, cmp.width, cmp.signed);
-                                if (f == 0) == cmp.br_if_zero {
-                                    next = cmp.target;
-                                }
-                            }
-                            OpKind::LdDyn { .. }
-                            | OpKind::StDyn { .. }
-                            | OpKind::LdFDyn { .. }
-                            | OpKind::StFDyn { .. }
-                            | OpKind::Slow(_)
-                            | OpKind::Call(_)
-                            | OpKind::Term(_) => {
-                                unreachable!("impure op in a pure block (decode invariant)")
-                            }
-                        }
+                        self.exec_op::<false>(&op.kind, &mut next);
                     }
                     // Self-loop — the dominant tight-loop shape: the
                     // terminator re-enters this very block, so skip the
@@ -489,348 +332,37 @@ impl Machine {
                 awake += op.cost as u64;
                 instrs += op.n as u64;
                 pc += op.n as u32;
+                // Only ops that can fault, reach a device or leave the
+                // fast path have arms here; every other op runs the one
+                // shared body. A terminator is the block's last op, so
+                // falling out of this loop re-enters the chain at `pc`.
                 match op.kind {
-                    // -- infallible ops: locals stay hot, no exit test --
-                    OpKind::PushI(v) => self.eval.push(v),
-                    OpKind::LdG {
-                        addr,
-                        width,
-                        signed,
-                    } => {
-                        let v = self.g_load(addr, width, signed);
-                        self.eval.push(v);
-                    }
-                    OpKind::StG { addr, width } => {
-                        let v = self.bpop();
-                        self.g_store(addr, v, width);
-                    }
-                    OpKind::AddrL { off } => self.eval.push(self.fp.wrapping_add(off) as i64),
-                    OpKind::Bin { op, width, signed } => {
-                        let b = self.bpop();
-                        let a = self.bpop();
-                        // Never Div/Mod (decode guarantee): cannot fault.
-                        let v = alu_nodiv(op, a, b, width, signed);
-                        self.eval.push(v);
-                    }
-                    OpKind::Un { op, width } => {
-                        let a = self.bpop();
-                        let v = match op {
-                            UnAluOp::Neg => width.wrap(a.wrapping_neg(), false),
-                            UnAluOp::BitNot => width.wrap(!a, false),
-                            UnAluOp::Not => (width.wrap(a, false) == 0) as i64,
-                        };
-                        self.eval.push(v);
-                    }
-                    OpKind::Wrap { width, signed } => {
-                        let a = self.bpop();
-                        self.eval.push(width.wrap(a, signed));
-                    }
-                    OpKind::Pop => {
-                        self.bpop();
-                    }
-                    OpKind::Dup => {
-                        let v = self.bpop();
-                        self.eval.push(v);
-                        self.eval.push(v);
-                    }
-                    OpKind::Nop => {}
-                    OpKind::IrqSave => {
-                        self.eval.push(self.irq_enabled as i64);
-                        self.irq_enabled = false;
-                    }
-                    OpKind::IrqDisable => self.irq_enabled = false,
-                    OpKind::MkFat { seq } => {
-                        let end = self.bpop() as u16;
-                        let base = if seq { self.bpop() as u16 } else { 0 };
-                        let val = self.bpop() as u16;
-                        self.eval.push(fat_pack(val, base, end));
-                    }
-                    OpKind::FatVal => {
-                        let (v, _, _) = fat_unpack(self.bpop());
-                        self.eval.push(v as i64);
-                    }
-                    OpKind::FatEnd => {
-                        let (_, _, e) = fat_unpack(self.bpop());
-                        self.eval.push(e as i64);
-                    }
-                    OpKind::FatBase => {
-                        let (_, b, _) = fat_unpack(self.bpop());
-                        self.eval.push(b as i64);
-                    }
-                    OpKind::FatAdd => {
-                        let delta = self.bpop();
-                        let (v, b, e) = fat_unpack(self.bpop());
-                        let nv = (v as i64).wrapping_add(delta) as u16;
-                        self.eval.push(fat_pack(nv, b, e));
-                    }
-                    OpKind::LdGF { addr, seq } => {
-                        if self.torn_watch.is_some() {
-                            self.fat_load(addr, seq);
-                        } else {
-                            self.fat_read_direct(addr, seq);
-                        }
-                    }
-                    OpKind::StGF { addr, seq } => {
-                        let cell = self.bpop();
-                        if self.torn_watch.is_some() {
-                            self.fat_store(addr, cell, seq);
-                        } else {
-                            self.fat_write_direct(addr, cell, seq);
-                        }
-                    }
-                    OpKind::StGK { addr, width, k } => self.g_store(addr, k, width),
-                    OpKind::BinK {
-                        op,
-                        width,
-                        signed,
-                        k,
-                    } => {
-                        let a = self.bpop();
-                        let v = alu_nodiv(op, a, k, width, signed);
-                        self.eval.push(v);
-                    }
-                    OpKind::RmwGK {
-                        ld_addr,
-                        ld_width,
-                        ld_signed,
-                        k,
-                        op,
-                        width,
-                        signed,
-                        st_addr,
-                        st_width,
-                    } => {
-                        let a = self.g_load(ld_addr, ld_width, ld_signed);
-                        let v = alu_nodiv(op, a, k, width, signed);
-                        self.g_store(st_addr, v, st_width);
-                    }
-                    OpKind::CpGG {
-                        ld_addr,
-                        ld_width,
-                        ld_signed,
-                        st_addr,
-                        st_width,
-                    } => {
-                        let v = self.g_load(ld_addr, ld_width, ld_signed);
-                        self.g_store(st_addr, v, st_width);
-                    }
-                    // -- fallible / observing ops: flush, run, test --
                     OpKind::LdL { off, width, signed } => {
-                        let addr = self.fp.wrapping_add(off);
-                        if self.dyn_readable(addr, width.bytes()) && !self.torn_guard(width) {
-                            let v = self.ram_read(addr, width, signed);
-                            self.eval.push(v);
-                        } else {
-                            sync_out!();
-                            if let Some(v) = self.load_mem(addr, width, signed) {
-                                self.eval.push(v);
-                            }
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                        }
+                        load!(self.fp.wrapping_add(off), width, signed)
                     }
                     OpKind::StL { off, width } => {
-                        let v = self.bpop();
-                        let addr = self.fp.wrapping_add(off);
-                        if self.dyn_writable(addr, width.bytes()) && !self.torn_guard(width) {
-                            self.ram_write(addr, v, width);
-                        } else {
-                            sync_out!();
-                            self.store_mem(addr, v, width);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                            if self.mmio_sync {
-                                self.mmio_sync = false;
-                                horizon = self.next_horizon(until);
-                                continue 'chain;
-                            }
-                        }
+                        let v = self.pop();
+                        store!(self.fp.wrapping_add(off), v, width)
                     }
-                    OpKind::LdDyn { width, signed } => {
-                        let addr = self.bpop() as u16;
-                        if self.dyn_readable(addr, width.bytes()) && !self.torn_guard(width) {
-                            let v = self.ram_read(addr, width, signed);
-                            self.eval.push(v);
-                        } else {
-                            sync_out!();
-                            if let Some(v) = self.load_mem(addr, width, signed) {
-                                self.eval.push(v);
-                            }
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                        }
-                    }
+                    OpKind::LdDyn { width, signed } => load!(self.pop() as u16, width, signed),
                     OpKind::StDyn { width } => {
-                        let addr = self.bpop() as u16;
-                        let v = self.bpop();
-                        if self.dyn_writable(addr, width.bytes()) && !self.torn_guard(width) {
-                            self.ram_write(addr, v, width);
-                        } else {
-                            sync_out!();
-                            self.store_mem(addr, v, width);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                            if self.mmio_sync {
-                                self.mmio_sync = false;
-                                horizon = self.next_horizon(until);
-                                continue 'chain;
-                            }
-                        }
+                        let addr = self.pop() as u16;
+                        store!(addr, self.pop(), width)
                     }
-                    OpKind::LdLF { off, seq } => {
-                        let addr = self.fp.wrapping_add(off);
-                        if self.torn_watch.is_none()
-                            && self.dyn_readable(addr, fat_bytes(seq) as u32)
-                        {
-                            self.fat_read_direct(addr, seq);
-                        } else {
-                            sync_out!();
-                            self.fat_load(addr, seq);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                        }
-                    }
+                    OpKind::LdLF { off, seq } => fat_load!(self.fp.wrapping_add(off), seq),
                     OpKind::StLF { off, seq } => {
-                        let addr = self.fp.wrapping_add(off);
-                        let cell = self.bpop();
-                        if self.torn_watch.is_none()
-                            && self.dyn_writable(addr, fat_bytes(seq) as u32)
-                        {
-                            self.fat_write_direct(addr, cell, seq);
-                        } else {
-                            sync_out!();
-                            self.fat_store(addr, cell, seq);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                            if self.mmio_sync {
-                                self.mmio_sync = false;
-                                horizon = self.next_horizon(until);
-                                continue 'chain;
-                            }
-                        }
+                        let cell = self.pop();
+                        fat_store!(self.fp.wrapping_add(off), cell, seq)
                     }
-                    OpKind::LdFDyn { seq } => {
-                        let addr = self.bpop() as u16;
-                        if self.torn_watch.is_none()
-                            && self.dyn_readable(addr, fat_bytes(seq) as u32)
-                        {
-                            self.fat_read_direct(addr, seq);
-                        } else {
-                            sync_out!();
-                            self.fat_load(addr, seq);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                        }
-                    }
+                    OpKind::LdFDyn { seq } => fat_load!(self.pop() as u16, seq),
                     OpKind::StFDyn { seq } => {
-                        let addr = self.bpop() as u16;
-                        let cell = self.bpop();
-                        if self.torn_watch.is_none()
-                            && self.dyn_writable(addr, fat_bytes(seq) as u32)
-                        {
-                            self.fat_write_direct(addr, cell, seq);
-                        } else {
-                            sync_out!();
-                            self.fat_store(addr, cell, seq);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                            if self.mmio_sync {
-                                self.mmio_sync = false;
-                                horizon = self.next_horizon(until);
-                                continue 'chain;
-                            }
-                        }
+                        let addr = self.pop() as u16;
+                        fat_store!(addr, self.pop(), seq)
                     }
                     OpKind::Slow(ins) => {
                         sync_out!();
                         self.exec(&ins);
-                        if self.state != RunState::Running {
-                            return progressed;
-                        }
-                        if self.mmio_sync {
-                            self.mmio_sync = false;
-                            horizon = self.next_horizon(until);
-                            continue 'chain;
-                        }
-                        // No Slow instruction moves control, but staying
-                        // synced with the machine is free here.
-                        pc = self.pc;
-                    }
-                    // -- terminators (always the last op of the block) --
-                    OpKind::Jmp(target) => {
-                        pc = target;
-                        continue 'chain;
-                    }
-                    OpKind::Jz(target) => {
-                        if self.bpop() == 0 {
-                            pc = target;
-                        }
-                        continue 'chain;
-                    }
-                    OpKind::Jnz(target) => {
-                        if self.bpop() != 0 {
-                            pc = target;
-                        }
-                        continue 'chain;
-                    }
-                    OpKind::CmpGKBr {
-                        addr,
-                        ld_width,
-                        ld_signed,
-                        k,
-                        op,
-                        width,
-                        signed,
-                        br_if_zero,
-                        target,
-                    } => {
-                        let a = self.g_load(addr, ld_width, ld_signed);
-                        let v = alu_nodiv(op, a, k, width, signed);
-                        if (v == 0) == br_if_zero {
-                            pc = target;
-                        }
-                        continue 'chain;
-                    }
-                    OpKind::CmpTopKBr {
-                        k,
-                        op,
-                        width,
-                        signed,
-                        br_if_zero,
-                        target,
-                    } => {
-                        // `Dup; PushI; Bin; Jz/Jnz` keeps the original
-                        // top of stack (the copy got consumed); entry
-                        // depth >= stack_in guarantees it exists.
-                        let a = *self.eval.last().expect("stack_in covers CmpTopKBr");
-                        let v = alu_nodiv(op, a, k, width, signed);
-                        if (v == 0) == br_if_zero {
-                            pc = target;
-                        }
-                        continue 'chain;
-                    }
-                    OpKind::RmwGKBr {
-                        rmw,
-                        cmp,
-                        reload: _,
-                    } => {
-                        let a = self.g_load(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
-                        let v = alu_nodiv(rmw.op, a, rmw.k, rmw.width, rmw.signed);
-                        self.g_store(rmw.st_addr, v, rmw.st_width);
-                        let b = self.g_load(cmp.addr, cmp.ld_width, cmp.ld_signed);
-                        let f = alu_nodiv(cmp.op, b, cmp.k, cmp.width, cmp.signed);
-                        if (f == 0) == cmp.br_if_zero {
-                            pc = cmp.target;
-                        }
-                        continue 'chain;
+                        settle!();
                     }
                     OpKind::Call(func) => {
                         sync_out!();
@@ -839,7 +371,6 @@ impl Machine {
                             return progressed;
                         }
                         sync_in!();
-                        continue 'chain;
                     }
                     OpKind::Term(ins) => {
                         sync_out!();
@@ -852,14 +383,207 @@ impl Machine {
                             horizon = self.next_horizon(until);
                         }
                         sync_in!();
-                        continue 'chain;
                     }
+                    _ => self.exec_op::<true>(&op.kind, &mut pc),
                 }
             }
             // Fallthrough into the next leader: `pc` already advanced.
         }
         sync_out!();
         progressed
+    }
+
+    /// The one body of every op that can neither fault, reach a device
+    /// nor leave the fast path, shared by both block loops. A taken
+    /// branch sets `next` to its target.
+    ///
+    /// `TORN = false` is the pure loop's instantiation: no torn watch is
+    /// armed and the frame window is proven writable, so every access
+    /// is a direct RAM access. `TORN = true` is the checked loop's: a
+    /// 16-bit or fat-pointer global access takes the interpreter's
+    /// counting path while a torn watch is armed. The checked loop
+    /// keeps its own arms for frame accesses, so the frame arms here
+    /// serve the pure loop only. Takes the op by reference: a by-value
+    /// `OpKind` copy per dispatch costs the kernels about a fifth of
+    /// their speed.
+    #[inline(always)]
+    fn exec_op<const TORN: bool>(&mut self, kind: &OpKind, next: &mut u32) {
+        match *kind {
+            OpKind::PushI(v) => self.eval.push(v),
+            OpKind::LdG {
+                addr,
+                width,
+                signed,
+            } => {
+                let v = self.g_load::<TORN>(addr, width, signed);
+                self.eval.push(v);
+            }
+            OpKind::StG { addr, width } => {
+                let v = self.pop();
+                self.g_store::<TORN>(addr, v, width);
+            }
+            OpKind::LdL { off, width, signed } => {
+                let v = self.ram_read(self.fp.wrapping_add(off), width, signed);
+                self.eval.push(v);
+            }
+            OpKind::StL { off, width } => {
+                let v = self.pop();
+                self.ram_write(self.fp.wrapping_add(off), v, width);
+            }
+            OpKind::AddrL { off } => self.eval.push(self.fp.wrapping_add(off) as i64),
+            OpKind::Bin { op, width, signed } => {
+                let b = self.pop();
+                let a = self.pop();
+                self.eval.push(alu_nodiv(op, a, b, width, signed));
+            }
+            OpKind::Un { op, width } => self.un(op, width),
+            OpKind::Wrap { width, signed } => {
+                let a = self.pop();
+                self.eval.push(width.wrap(a, signed));
+            }
+            OpKind::Pop => {
+                self.pop();
+            }
+            OpKind::Dup => {
+                let v = self.pop();
+                self.eval.push(v);
+                self.eval.push(v);
+            }
+            OpKind::Nop => {}
+            OpKind::IrqSave => {
+                self.eval.push(self.irq_enabled as i64);
+                self.irq_enabled = false;
+            }
+            OpKind::IrqDisable => self.irq_enabled = false,
+            OpKind::MkFat { seq } => self.mk_fat(seq),
+            OpKind::FatVal => self.fat_part(|(v, _, _)| v),
+            OpKind::FatEnd => self.fat_part(|(_, _, e)| e),
+            OpKind::FatBase => self.fat_part(|(_, b, _)| b),
+            OpKind::FatAdd => self.fat_add(),
+            OpKind::LdGF { addr, seq } => {
+                if TORN && self.torn_watch.is_some() {
+                    self.fat_load(addr, seq);
+                } else {
+                    self.fat_read_direct(addr, seq);
+                }
+            }
+            OpKind::StGF { addr, seq } => {
+                let cell = self.pop();
+                if TORN && self.torn_watch.is_some() {
+                    self.fat_store(addr, cell, seq);
+                } else {
+                    self.fat_write_direct(addr, cell, seq);
+                }
+            }
+            OpKind::LdLF { off, seq } => self.fat_read_direct(self.fp.wrapping_add(off), seq),
+            OpKind::StLF { off, seq } => {
+                let cell = self.pop();
+                self.fat_write_direct(self.fp.wrapping_add(off), cell, seq);
+            }
+            OpKind::StGK { addr, width, k } => self.g_store::<TORN>(addr, k, width),
+            OpKind::BinK {
+                op,
+                width,
+                signed,
+                k,
+            } => {
+                let a = self.pop();
+                self.eval.push(alu_nodiv(op, a, k, width, signed));
+            }
+            OpKind::RmwGK {
+                ld_addr,
+                ld_width,
+                ld_signed,
+                k,
+                op,
+                width,
+                signed,
+                st_addr,
+                st_width,
+            } => {
+                let a = self.g_load::<TORN>(ld_addr, ld_width, ld_signed);
+                let v = alu_nodiv(op, a, k, width, signed);
+                self.g_store::<TORN>(st_addr, v, st_width);
+            }
+            OpKind::CpGG {
+                ld_addr,
+                ld_width,
+                ld_signed,
+                st_addr,
+                st_width,
+            } => {
+                let v = self.g_load::<TORN>(ld_addr, ld_width, ld_signed);
+                self.g_store::<TORN>(st_addr, v, st_width);
+            }
+            OpKind::Jmp(target) => *next = target,
+            OpKind::Jz(target) => {
+                if self.pop() == 0 {
+                    *next = target;
+                }
+            }
+            OpKind::Jnz(target) => {
+                if self.pop() != 0 {
+                    *next = target;
+                }
+            }
+            OpKind::CmpGKBr {
+                addr,
+                ld_width,
+                ld_signed,
+                k,
+                op,
+                width,
+                signed,
+                br_if_zero,
+                target,
+            } => {
+                let a = self.g_load::<TORN>(addr, ld_width, ld_signed);
+                if (alu_nodiv(op, a, k, width, signed) == 0) == br_if_zero {
+                    *next = target;
+                }
+            }
+            OpKind::CmpTopKBr {
+                k,
+                op,
+                width,
+                signed,
+                br_if_zero,
+                target,
+            } => {
+                // `Dup; PushI; Bin; Jz/Jnz` keeps the original top of
+                // stack (the copy got consumed); entry depth >=
+                // stack_in guarantees it exists.
+                let a = *self.eval.last().expect("stack_in covers CmpTopKBr");
+                if (alu_nodiv(op, a, k, width, signed) == 0) == br_if_zero {
+                    *next = target;
+                }
+            }
+            OpKind::RmwGKBr { rmw, cmp, reload } => {
+                let a = self.g_load::<TORN>(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
+                let v = alu_nodiv(rmw.op, a, rmw.k, rmw.width, rmw.signed);
+                self.g_store::<TORN>(rmw.st_addr, v, rmw.st_width);
+                // When the compare reloads exactly the bytes the store
+                // just wrote, a direct reload re-materialises `v`:
+                // direct reads count nothing, so only the checked
+                // instantiation (whose reload a torn watch may count)
+                // performs it.
+                let b = if TORN || reload {
+                    self.g_load::<TORN>(cmp.addr, cmp.ld_width, cmp.ld_signed)
+                } else {
+                    cmp.ld_width.wrap(v, cmp.ld_signed)
+                };
+                if (alu_nodiv(cmp.op, b, cmp.k, cmp.width, cmp.signed) == 0) == cmp.br_if_zero {
+                    *next = cmp.target;
+                }
+            }
+            OpKind::LdDyn { .. }
+            | OpKind::StDyn { .. }
+            | OpKind::LdFDyn { .. }
+            | OpKind::StFDyn { .. }
+            | OpKind::Slow(_)
+            | OpKind::Call(_)
+            | OpKind::Term(_) => unreachable!("the checked loop runs this op itself"),
+        }
     }
 
     /// `min(until, next scheduled event time)`: the fast loop must stop
@@ -872,26 +596,6 @@ impl Machine {
         }
     }
 
-    /// Pop inside the block dispatch loop. Semantically identical to
-    /// [`Machine::pop`], but the underflow arm is split out cold so
-    /// LLVM actually inlines the hot path (block admission via
-    /// `stack_in` proves it can never underflow mid-block; the fault
-    /// arm stays for defense in depth).
-    #[inline(always)]
-    fn bpop(&mut self) -> i64 {
-        match self.eval.pop() {
-            Some(v) => v,
-            None => self.bpop_underflow(),
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn bpop_underflow(&mut self) -> i64 {
-        self.fail(Fault::BadCode("evaluation stack underflow".into()));
-        0
-    }
-
     /// Whether a `width` access must detour through the counting
     /// `load_mem`/`store_mem` path because a torn watchpoint is armed
     /// (the watch counts every IRQ-enabled 16-bit access).
@@ -900,76 +604,23 @@ impl Machine {
         width == Width::W16 && self.torn_watch.is_some()
     }
 
-    /// Whether `[addr, addr+len)` is readable without the memory map
-    /// (SRAM or flash window — never MMIO, never the null page).
+    /// Statically mapped global load: direct unless the checked
+    /// instantiation (`TORN`) finds a torn watchpoint armed for a 16-bit
+    /// access.
     #[inline(always)]
-    fn dyn_readable(&self, addr: u16, len: u32) -> bool {
-        let end = addr as u32 + len;
-        (addr >= self.sram_base && end <= self.sram_end as u32)
-            || (addr >= 0x8000 && end <= MMIO_BASE as u32)
-    }
-
-    /// Whether `[addr, addr+len)` is writable SRAM.
-    #[inline(always)]
-    fn dyn_writable(&self, addr: u16, len: u32) -> bool {
-        addr >= self.sram_base && addr as u32 + len <= self.sram_end as u32
-    }
-
-    /// Raw little-endian RAM read (caller proved the range mapped and
-    /// torn-free).
-    #[inline(always)]
-    fn ram_read(&self, addr: u16, width: Width, signed: bool) -> i64 {
-        let a = addr as usize;
-        let v: u64 = match width {
-            Width::W8 => self.ram[a] as u64,
-            Width::W16 => self.ram[a] as u64 | (self.ram[a + 1] as u64) << 8,
-            Width::W32 => {
-                self.ram[a] as u64
-                    | (self.ram[a + 1] as u64) << 8
-                    | (self.ram[a + 2] as u64) << 16
-                    | (self.ram[a + 3] as u64) << 24
-            }
-        };
-        width.wrap(v as i64, signed)
-    }
-
-    /// Raw little-endian RAM write (caller proved the range writable
-    /// SRAM and torn-free).
-    #[inline(always)]
-    fn ram_write(&mut self, addr: u16, v: i64, width: Width) {
-        let uv = width.wrap(v, false) as u64;
-        let a = addr as usize;
-        match width {
-            Width::W8 => self.ram[a] = uv as u8,
-            Width::W16 => {
-                self.ram[a] = uv as u8;
-                self.ram[a + 1] = (uv >> 8) as u8;
-            }
-            Width::W32 => {
-                self.ram[a] = uv as u8;
-                self.ram[a + 1] = (uv >> 8) as u8;
-                self.ram[a + 2] = (uv >> 16) as u8;
-                self.ram[a + 3] = (uv >> 24) as u8;
-            }
-        }
-    }
-
-    /// Statically mapped global load: direct unless a torn watchpoint
-    /// forces the counting path for 16-bit accesses.
-    #[inline(always)]
-    fn g_load(&mut self, addr: u16, width: Width, signed: bool) -> i64 {
-        if self.torn_guard(width) {
-            // Statically mapped: never None.
-            self.load_mem(addr, width, signed).unwrap_or(0)
+    fn g_load<const TORN: bool>(&mut self, addr: u16, width: Width, signed: bool) -> i64 {
+        if TORN && self.torn_guard(width) {
+            self.load_mem(addr, width, signed)
+                .expect("decode proved the global mapped")
         } else {
             self.ram_read(addr, width, signed)
         }
     }
 
-    /// Statically mapped SRAM store, torn-aware (see [`Machine::g_load`]).
+    /// Statically mapped SRAM store (see [`Machine::g_load`]).
     #[inline(always)]
-    fn g_store(&mut self, addr: u16, v: i64, width: Width) {
-        if self.torn_guard(width) {
+    fn g_store<const TORN: bool>(&mut self, addr: u16, v: i64, width: Width) {
+        if TORN && self.torn_guard(width) {
             self.store_mem(addr, v, width);
         } else {
             self.ram_write(addr, v, width);
@@ -1007,7 +658,8 @@ mod tests {
     use super::*;
     use crate::devices::{TIMER0_COMPARE, TIMER0_CTRL, UART_DATA};
     use crate::image::{CodeFunction, Image, Profile};
-    use crate::isa::{AluOp, Instr};
+    use crate::isa::{AluOp, Instr, UnAluOp};
+    use crate::machine::{Fault, MemMap};
 
     fn image_with(code: Vec<Instr>) -> Image {
         let mut img = Image::new(Profile::mica2());
@@ -1267,6 +919,434 @@ mod tests {
                 err.contains(&format!("`{bad}`")) && err.contains("`interp` or `bt`"),
                 "{bad:?}: {err}"
             );
+        }
+    }
+
+    /// Index of `kind`'s variant, `RmwGKBr` once per `reload` value.
+    /// Exhaustive on purpose: a new `OpKind` variant does not compile
+    /// here until the every-op program covers it.
+    fn variant(kind: &OpKind) -> usize {
+        match kind {
+            OpKind::PushI(_) => 0,
+            OpKind::LdG { .. } => 1,
+            OpKind::StG { .. } => 2,
+            OpKind::LdL { .. } => 3,
+            OpKind::StL { .. } => 4,
+            OpKind::AddrL { .. } => 5,
+            OpKind::LdDyn { .. } => 6,
+            OpKind::StDyn { .. } => 7,
+            OpKind::Bin { .. } => 8,
+            OpKind::Un { .. } => 9,
+            OpKind::Wrap { .. } => 10,
+            OpKind::Pop => 11,
+            OpKind::Dup => 12,
+            OpKind::Nop => 13,
+            OpKind::IrqSave => 14,
+            OpKind::IrqDisable => 15,
+            OpKind::MkFat { .. } => 16,
+            OpKind::FatVal => 17,
+            OpKind::FatEnd => 18,
+            OpKind::FatBase => 19,
+            OpKind::FatAdd => 20,
+            OpKind::LdGF { .. } => 21,
+            OpKind::StGF { .. } => 22,
+            OpKind::LdLF { .. } => 23,
+            OpKind::StLF { .. } => 24,
+            OpKind::LdFDyn { .. } => 25,
+            OpKind::StFDyn { .. } => 26,
+            OpKind::StGK { .. } => 27,
+            OpKind::BinK { .. } => 28,
+            OpKind::RmwGK { .. } => 29,
+            OpKind::CpGG { .. } => 30,
+            OpKind::Slow(_) => 31,
+            OpKind::Jmp(_) => 32,
+            OpKind::Jz(_) => 33,
+            OpKind::Jnz(_) => 34,
+            OpKind::CmpGKBr { .. } => 35,
+            OpKind::CmpTopKBr { .. } => 36,
+            OpKind::RmwGKBr { reload: false, .. } => 37,
+            OpKind::RmwGKBr { reload: true, .. } => 38,
+            OpKind::Call(_) => 39,
+            OpKind::Term(_) => 40,
+        }
+    }
+    const VARIANTS: usize = 41;
+
+    /// One program whose block cache holds every op variant: a pure
+    /// self-looping block of every pure op (frame ops at offsets >= 8),
+    /// a checked loop with every dynamic access and a `Slow` division,
+    /// then calls, IRQ-flag terminators and the branch shapes.
+    fn every_op_image() -> Image {
+        use Instr::*;
+        use Width::{W16, W8};
+        let mut img = Image::new(Profile::mica2());
+        let mut callee = CodeFunction::new("callee");
+        callee.frame_size = 2;
+        callee.params = vec![crate::image::ParamSlot::scalar(0, W16)];
+        callee.code = vec![
+            LdLocal {
+                off: 0,
+                width: W16,
+                signed: false,
+            },
+            StGlobal {
+                addr: 0x0222,
+                width: W16,
+            },
+            Ret,
+        ];
+        let callee = img.add_function(callee);
+        let ld = |addr, width| LdGlobal {
+            addr,
+            width,
+            signed: false,
+        };
+        let st = |addr, width| StGlobal { addr, width };
+        let bin = |op, width| Bin {
+            op,
+            width,
+            signed: false,
+        };
+        let mut main = CodeFunction::new("main");
+        main.frame_size = 24;
+        main.code = vec![
+            IrqEnable,
+            // 1: the pure loop, six rounds of `g200 += 1`.
+            PushI(0x1234),
+            Wrap {
+                width: W8,
+                signed: true,
+            },
+            Un {
+                op: UnAluOp::Neg,
+                width: W16,
+            },
+            Dup,
+            ld(0x0206, W16),
+            bin(AluOp::Add, W16),
+            bin(AluOp::Xor, W16),
+            st(0x0206, W16),
+            Nop,
+            AddrLocal { off: 8 },
+            AddrLocal { off: 12 },
+            MkFat { seq: false },
+            StLocalFat { off: 8, seq: false },
+            LdLocalFat { off: 8, seq: false },
+            PushI(2),
+            FatAdd,
+            Dup,
+            FatEnd,
+            st(0x0208, W16),
+            Dup,
+            FatBase,
+            st(0x020A, W16),
+            FatVal,
+            st(0x020C, W16),
+            PushI(0x0300),
+            PushI(0x0302),
+            PushI(0x0310),
+            MkFat { seq: true },
+            StGlobalFat {
+                addr: 0x0210,
+                seq: true,
+            },
+            LdGlobalFat {
+                addr: 0x0210,
+                seq: true,
+            },
+            FatVal,
+            st(0x020E, W16),
+            ld(0x0206, W16), // CpGG
+            st(0x0212, W16),
+            ld(0x0214, W8), // RmwGK
+            PushI(3),
+            bin(AluOp::Add, W8),
+            st(0x0214, W8),
+            ld(0x0206, W16),
+            PushI(3), // BinK
+            bin(AluOp::Shl, W16),
+            Un {
+                op: UnAluOp::BitNot,
+                width: W16,
+            },
+            st(0x0216, W16),
+            PushI(5), // StGK
+            st(0x0204, W16),
+            ld(0x0206, W16),
+            StLocal {
+                off: 16,
+                width: W16,
+            },
+            LdLocal {
+                off: 16,
+                width: W16,
+                signed: true,
+            },
+            st(0x0218, W16),
+            ld(0x0200, W16), // RmwGKBr, reload elided
+            PushI(1),
+            bin(AluOp::Add, W16),
+            st(0x0200, W16),
+            ld(0x0200, W16),
+            PushI(6),
+            bin(AluOp::Lt, W16),
+            Jnz { target: 1 },
+            // 58: the checked loop, four rounds of `g202 += 1`.
+            PushI(0x0206),
+            Ld {
+                width: W16,
+                signed: false,
+            },
+            PushI(0x021A),
+            St { width: W16 },
+            PushI(0x0210),
+            LdFat { seq: true },
+            PushI(0x0220),
+            StFat { seq: true },
+            ld(0x0206, W16),
+            PushI(7),
+            bin(AluOp::Div, W16),
+            st(0x0226, W16),
+            ld(0x0202, W16), // RmwGKBr, byte reload
+            PushI(1),
+            bin(AluOp::Add, W16),
+            st(0x0202, W16),
+            ld(0x0202, W8),
+            PushI(4),
+            bin(AluOp::Lt, W8),
+            Jnz { target: 58 },
+            // 78
+            IrqSave,
+            IrqDisable,
+            IrqRestore,
+            PushI(9),
+            Call { func: callee },
+            ld(0x0206, W16), // CmpGKBr
+            PushI(0),
+            bin(AluOp::Eq, W16),
+            Jz { target: 88 },
+            Nop,
+            // 88: count 3 down to 0 on the stack.
+            PushI(3),
+            Dup, // CmpTopKBr
+            PushI(0),
+            bin(AluOp::Ne, W16),
+            Jz { target: 96 },
+            PushI(1),
+            bin(AluOp::Sub, W16),
+            Jmp { target: 89 },
+            // 96
+            Pop,
+            PushI(0),
+            Jz { target: 100 },
+            Halt,
+            PushI(1),
+            Jnz { target: 103 },
+            Halt,
+            Halt,
+        ];
+        let main = img.add_function(main);
+        img.entry = Some(main);
+        img
+    }
+
+    #[test]
+    fn every_op_agrees_across_engines() {
+        let img = every_op_image();
+        let cache = BlockCache::build(&img);
+        let mut seen = [false; VARIANTS];
+        for (fi, f) in img.functions.iter().enumerate() {
+            for pc in 0..f.code.len() as u32 {
+                if let Some(block) = cache.lookup(fi as u32, pc) {
+                    for op in block.ops.iter() {
+                        seen[variant(&op.kind)] = true;
+                    }
+                }
+            }
+        }
+        let missing: Vec<usize> = (0..VARIANTS).filter(|&v| !seen[v]).collect();
+        assert!(missing.is_empty(), "variants not decoded: {missing:?}");
+        let main = img.entry.unwrap();
+        let pure_loop = cache.lookup(main, 1).unwrap();
+        assert!(pure_loop.pure && pure_loop.local_span > 0);
+
+        // `setup` arms a watch or moves `fp`; both engines get the same.
+        let run = |engine, setup: &dyn Fn(&mut Machine)| {
+            let mut m = Machine::new(&img);
+            m.set_engine(engine);
+            setup(&mut m);
+            m.run(100_000);
+            m
+        };
+        let agree = |setup: &dyn Fn(&mut Machine)| {
+            let (a, b) = (run(Engine::Interp, setup), run(Engine::Bt, setup));
+            assert_eq!(observe(&a), observe(&b));
+            assert_eq!(a.torn_watch(), b.torn_watch());
+            a
+        };
+        // Unarmed: the pure loop runs the `TORN = false` body.
+        let m = agree(&|_| {});
+        assert_eq!(m.state, RunState::Halted, "{:?}", m.fault_message());
+        assert!(m.map.writable(m.fp, pure_loop.local_span));
+        // Armed: every block runs checked, and its 16-bit and fat
+        // accesses count through the interpreter's memory path. `nth`
+        // runs past each watched word's last access (a watch stops
+        // counting once it fires), so a count missed anywhere shows.
+        let mut fired = 0;
+        for addr in [0x0200, 0x0206, 0x0210, 0x021A] {
+            for nth in 1..=48 {
+                let m = agree(&|m| m.arm_torn_watch(addr, nth, 0x01, false));
+                fired += m.torn_watch().unwrap().fired as u32;
+            }
+        }
+        assert!(fired >= 16, "only {fired} watches fired");
+        // `fp` just below SRAM: every frame access lands in SRAM, but the
+        // pure loop's frame window is not writable, so it runs checked.
+        let m = agree(&|m| m.fp = 0x00F8);
+        assert_eq!(m.state, RunState::Halted, "{:?}", m.fault_message());
+        assert!(!m.map.writable(0x00F8, pure_loop.local_span));
+    }
+
+    #[test]
+    fn memory_map_edges_fault_alike_and_match_decode() {
+        use Width::{W16, W32, W8};
+        #[derive(Clone, Copy, Debug)]
+        enum Access {
+            Ld(Width),
+            St(Width),
+            LdFat,
+            StFat,
+        }
+        use Access::*;
+        let (mem, ill) = (
+            |a| Some(Fault::MemFault(a)),
+            |a| Some(Fault::IllegalWrite(a)),
+        );
+        // Mica2: SRAM is 0x0100..0x1100; flash 0x8000..0xF000; MMIO above.
+        let cases: [(u16, Access, Option<Fault>); 30] = [
+            (0x00FF, Ld(W8), mem(0x00FF)),
+            (0x0100, Ld(W8), None),
+            (0x00FF, Ld(W16), mem(0x00FF)),
+            (0x10FE, Ld(W16), None),
+            (0x10FF, Ld(W16), mem(0x10FF)),
+            (0x10FC, Ld(W32), None),
+            (0x10FD, Ld(W32), mem(0x10FD)),
+            (0x7FFF, Ld(W16), mem(0x7FFF)),
+            (0x8000, Ld(W8), None),
+            (0xEFFE, Ld(W16), None),
+            (0xEFFF, Ld(W16), mem(0xEFFF)),
+            (0xEFFD, Ld(W32), mem(0xEFFD)),
+            (0xFFFF, Ld(W32), None),
+            (0x00FF, St(W8), mem(0x00FF)),
+            (0x0100, St(W8), None),
+            (0x10FE, St(W16), None),
+            (0x10FF, St(W16), mem(0x10FF)),
+            (0x10FC, St(W32), None),
+            (0x10FD, St(W32), mem(0x10FD)),
+            (0x7FFF, St(W16), mem(0x7FFF)),
+            (0x8000, St(W8), ill(0x8000)),
+            (0xEFFF, St(W16), ill(0xEFFF)),
+            (0xFFFF, St(W32), None),
+            (0x10FA, LdFat, None),
+            (0x10FC, LdFat, mem(0x1100)),
+            (0xEFFC, LdFat, None),
+            (0xFFFC, LdFat, mem(0x0000)),
+            (0x10FA, StFat, None),
+            (0x10FC, StFat, mem(0x1100)),
+            (0xFFFC, StFat, mem(0x0000)),
+        ];
+        for (addr, access, want) in cases {
+            let (len, write) = match access {
+                Ld(w) => (w.bytes(), false),
+                St(w) => (w.bytes(), true),
+                LdFat => (fat_bytes(true) as u32, false),
+                StFat => (fat_bytes(true) as u32, true),
+            };
+            let a = addr as i64;
+            let cell = fat_pack(0x0101, 0x0102, 0x0103);
+            let (global, dynamic, local) = match access {
+                Ld(width) => (
+                    vec![
+                        Instr::LdGlobal {
+                            addr,
+                            width,
+                            signed: false,
+                        },
+                        Instr::Pop,
+                    ],
+                    vec![
+                        Instr::PushI(a),
+                        Instr::Ld {
+                            width,
+                            signed: false,
+                        },
+                        Instr::Pop,
+                    ],
+                    vec![
+                        Instr::LdLocal {
+                            off: 0,
+                            width,
+                            signed: false,
+                        },
+                        Instr::Pop,
+                    ],
+                ),
+                St(width) => (
+                    vec![Instr::PushI(0x5A), Instr::StGlobal { addr, width }],
+                    vec![Instr::PushI(0x5A), Instr::PushI(a), Instr::St { width }],
+                    vec![Instr::PushI(0x5A), Instr::StLocal { off: 0, width }],
+                ),
+                LdFat => (
+                    vec![Instr::LdGlobalFat { addr, seq: true }, Instr::Pop],
+                    vec![Instr::PushI(a), Instr::LdFat { seq: true }, Instr::Pop],
+                    vec![Instr::LdLocalFat { off: 0, seq: true }, Instr::Pop],
+                ),
+                StFat => (
+                    vec![Instr::PushI(cell), Instr::StGlobalFat { addr, seq: true }],
+                    vec![
+                        Instr::PushI(cell),
+                        Instr::PushI(a),
+                        Instr::StFat { seq: true },
+                    ],
+                    vec![Instr::PushI(cell), Instr::StLocalFat { off: 0, seq: true }],
+                ),
+            };
+            for (form, mut code) in [("global", global), ("dynamic", dynamic), ("local", local)] {
+                code.push(Instr::Halt);
+                let img = image_with(code);
+                for engine in [Engine::Interp, Engine::Bt] {
+                    let mut m = Machine::new(&img);
+                    m.set_engine(engine);
+                    if form == "local" {
+                        m.fp = addr;
+                    }
+                    m.run(1_000);
+                    assert_eq!(
+                        m.fault, want,
+                        "{form} {access:?} at {addr:#06x} under {engine:?}"
+                    );
+                }
+                if form == "global" {
+                    // The decoder keeps a direct op exactly where the
+                    // runtime predicate holds; a direct op never faults,
+                    // and a scalar access leaves the direct path only
+                    // to fault or to reach MMIO.
+                    let map = MemMap::new(&img.profile);
+                    let direct = if write {
+                        map.writable(addr, len)
+                    } else {
+                        map.readable(addr, len)
+                    };
+                    let block = BlockCache::build(&img);
+                    let block = block.lookup(0, 0).unwrap();
+                    let slow = block.ops.iter().any(|o| matches!(o.kind, OpKind::Slow(_)));
+                    assert_eq!(!slow, direct, "decode of {access:?} at {addr:#06x}");
+                    assert!(!direct || want.is_none());
+                    if let Ld(_) | St(_) = access {
+                        assert_eq!(direct, want.is_none() && addr < crate::devices::MMIO_BASE);
+                    }
+                }
+            }
         }
     }
 }

@@ -5,8 +5,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::devices::*;
-use crate::image::Image;
-use crate::isa::{AluOp, Instr, UnAluOp, Width};
+use crate::image::{Image, Profile};
+use crate::isa::{fat_pack, fat_unpack, AluOp, Instr, UnAluOp, Width};
 
 /// Why a machine stopped (or misbehaved).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +61,44 @@ const INLINE_ARGS: usize = 8;
 
 /// Cycles charged for interrupt entry (vectoring + register save).
 const IRQ_ENTRY_CYCLES: u64 = 8;
+
+/// Start of the read-only flash window.
+const FLASH_BASE: u16 = 0x8000;
+
+/// The M16 memory map (see the crate docs): which address ranges a load
+/// or store reaches as plain RAM, with no device and no fault. The
+/// interpreter's `load_mem`/`store_mem`, both block-engine loops and the
+/// block decoder's fast-or-`Slow` choice all ask this one definition.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemMap {
+    sram_base: u16,
+    /// One past the last SRAM byte.
+    pub(crate) sram_end: u16,
+}
+
+impl MemMap {
+    pub(crate) fn new(profile: &Profile) -> MemMap {
+        MemMap {
+            sram_base: profile.sram_base(),
+            sram_end: profile.sram_end(),
+        }
+    }
+
+    /// Whether `[addr, addr+len)` lies wholly in SRAM or wholly in the
+    /// flash window: never the null page, the gap above SRAM, or MMIO.
+    #[inline(always)]
+    pub(crate) fn readable(self, addr: u16, len: u32) -> bool {
+        let end = addr as u32 + len;
+        (addr >= self.sram_base && end <= self.sram_end as u32)
+            || (addr >= FLASH_BASE && end <= MMIO_BASE as u32)
+    }
+
+    /// Whether `[addr, addr+len)` lies wholly in SRAM.
+    #[inline(always)]
+    pub(crate) fn writable(self, addr: u16, len: u32) -> bool {
+        addr >= self.sram_base && addr as u32 + len <= self.sram_end as u32
+    }
+}
 
 /// An armed torn-16-bit-update watchpoint (see
 /// [`crate::faults::FaultKind::TornUpdate16`]).
@@ -137,10 +175,8 @@ pub struct Machine {
     /// construction. Ground truth for the `stackbound` static analyzer.
     pub(crate) stack_peak: u16,
     pub(crate) torn_watch: Option<TornWatch>,
-    /// Cached `img.profile.sram_base()` (memory-map hot path).
-    pub(crate) sram_base: u16,
-    /// Cached `img.profile.sram_end()` (memory-map hot path).
-    pub(crate) sram_end: u16,
+    /// The memory map of `img.profile` (hot path of every access).
+    pub(crate) map: MemMap,
     /// Set by `store_mem` whenever a store lands in MMIO space: the
     /// block engine bails out of its fast loop so device events and
     /// interrupt windows are handled with per-instruction fidelity.
@@ -172,16 +208,15 @@ impl Machine {
         for (addr, bytes) in &img.data_init {
             ram[*addr as usize..*addr as usize + bytes.len()].copy_from_slice(bytes);
         }
-        let sram_base = img.profile.sram_base();
-        let sram_end = img.profile.sram_end();
+        let map = MemMap::new(&img.profile);
         let frame = img.functions[entry as usize].frame_size;
         let mut m = Machine {
             img,
             ram,
             cur_func: entry,
             pc: 0,
-            fp: sram_end - frame,
-            sp: sram_end - frame,
+            fp: map.sram_end - frame,
+            sp: map.sram_end - frame,
             eval: Vec::with_capacity(32),
             frames: Vec::with_capacity(16),
             irq_enabled: false,
@@ -197,8 +232,7 @@ impl Machine {
             instr_count: 0,
             stack_peak: frame,
             torn_watch: None,
-            sram_base,
-            sram_end,
+            map,
             mmio_sync: false,
             engine: crate::engine::Engine::from_env(),
             bbcache: None,
@@ -461,15 +495,63 @@ impl Machine {
         self.state = RunState::Faulted;
     }
 
-    #[inline]
+    /// Pops the evaluation stack. The underflow fault is split out cold
+    /// so the hot path inlines into both engines' dispatch loops (the
+    /// block engine's `stack_in` admission proves it never underflows
+    /// mid-block).
+    #[inline(always)]
     pub(crate) fn pop(&mut self) -> i64 {
         match self.eval.pop() {
             Some(v) => v,
-            None => {
-                self.fail(Fault::BadCode("evaluation stack underflow".into()));
-                0
-            }
+            None => self.pop_underflow(),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn pop_underflow(&mut self) -> i64 {
+        self.fail(Fault::BadCode("evaluation stack underflow".into()));
+        0
+    }
+
+    /// `Un`, for both engines.
+    #[inline(always)]
+    pub(crate) fn un(&mut self, op: UnAluOp, width: Width) {
+        let a = self.pop();
+        self.eval.push(match op {
+            UnAluOp::Neg => width.wrap(a.wrapping_neg(), false),
+            UnAluOp::BitNot => width.wrap(!a, false),
+            UnAluOp::Not => (width.wrap(a, false) == 0) as i64,
+        });
+    }
+
+    /// `MkFat`, for both engines: pops `end`, then `base` (SEQ only),
+    /// then `val`, and pushes the packed fat pointer.
+    #[inline(always)]
+    pub(crate) fn mk_fat(&mut self, seq: bool) {
+        let end = self.pop() as u16;
+        let base = if seq { self.pop() as u16 } else { 0 };
+        let val = self.pop() as u16;
+        self.eval.push(fat_pack(val, base, end));
+    }
+
+    /// `FatVal`/`FatBase`/`FatEnd`, for both engines: replaces the fat
+    /// pointer on top of the stack with the part `pick` selects from its
+    /// `(val, base, end)`.
+    #[inline(always)]
+    pub(crate) fn fat_part(&mut self, pick: impl FnOnce((u16, u16, u16)) -> u16) {
+        let part = pick(fat_unpack(self.pop()));
+        self.eval.push(part as i64);
+    }
+
+    /// `FatAdd`, for both engines: moves the value part by the popped
+    /// delta, keeping the bounds.
+    #[inline(always)]
+    pub(crate) fn fat_add(&mut self) {
+        let delta = self.pop();
+        let (v, b, e) = fat_unpack(self.pop());
+        let nv = (v as i64).wrapping_add(delta) as u16;
+        self.eval.push(fat_pack(nv, b, e));
     }
 
     pub(crate) fn exec(&mut self, instr: &Instr) {
@@ -514,20 +596,12 @@ impl Machine {
             Instr::Bin { op, width, signed } => {
                 let b = self.pop();
                 let a = self.pop();
-                match self.alu(op, a, b, width, signed) {
+                match alu(op, a, b, width, signed) {
                     Some(v) => self.eval.push(v),
                     None => self.fail(Fault::DivZero),
                 }
             }
-            Instr::Un { op, width } => {
-                let a = self.pop();
-                let v = match op {
-                    UnAluOp::Neg => width.wrap(a.wrapping_neg(), false),
-                    UnAluOp::BitNot => width.wrap(!a, false),
-                    UnAluOp::Not => (width.wrap(a, false) == 0) as i64,
-                };
-                self.eval.push(v);
-            }
+            Instr::Un { op, width } => self.un(op, width),
             Instr::Wrap { width, signed } => {
                 let a = self.pop();
                 self.eval.push(width.wrap(a, signed));
@@ -606,30 +680,11 @@ impl Machine {
                 let cell = self.pop();
                 self.fat_store(addr, cell, seq);
             }
-            Instr::MkFat { seq } => {
-                let end = self.pop() as u16;
-                let base = if seq { self.pop() as u16 } else { 0 };
-                let val = self.pop() as u16;
-                self.eval.push(crate::isa::fat_pack(val, base, end));
-            }
-            Instr::FatVal => {
-                let (v, _, _) = crate::isa::fat_unpack(self.pop());
-                self.eval.push(v as i64);
-            }
-            Instr::FatEnd => {
-                let (_, _, e) = crate::isa::fat_unpack(self.pop());
-                self.eval.push(e as i64);
-            }
-            Instr::FatBase => {
-                let (_, b, _) = crate::isa::fat_unpack(self.pop());
-                self.eval.push(b as i64);
-            }
-            Instr::FatAdd => {
-                let delta = self.pop();
-                let (v, b, e) = crate::isa::fat_unpack(self.pop());
-                let nv = (v as i64).wrapping_add(delta) as u16;
-                self.eval.push(crate::isa::fat_pack(nv, b, e));
-            }
+            Instr::MkFat { seq } => self.mk_fat(seq),
+            Instr::FatVal => self.fat_part(|(v, _, _)| v),
+            Instr::FatEnd => self.fat_part(|(_, _, e)| e),
+            Instr::FatBase => self.fat_part(|(_, b, _)| b),
+            Instr::FatAdd => self.fat_add(),
         }
     }
 
@@ -668,76 +723,16 @@ impl Machine {
             0
         };
         self.eval
-            .push(crate::isa::fat_pack(val as u16, base as u16, end as u16));
+            .push(fat_pack(val as u16, base as u16, end as u16));
     }
 
     pub(crate) fn fat_store(&mut self, addr: u16, cell: i64, seq: bool) {
-        let (v, b, e) = crate::isa::fat_unpack(cell);
+        let (v, b, e) = fat_unpack(cell);
         self.store_mem(addr, v as i64, Width::W16);
         self.store_mem(addr.wrapping_add(2), e as i64, Width::W16);
         if seq {
             self.store_mem(addr.wrapping_add(4), b as i64, Width::W16);
         }
-    }
-
-    #[inline]
-    pub(crate) fn alu(&self, op: AluOp, a: i64, b: i64, width: Width, signed: bool) -> Option<i64> {
-        let wa = width.wrap(a, signed);
-        let wb = width.wrap(b, signed);
-        let ua = width.wrap(a, false) as u64;
-        let ub = width.wrap(b, false) as u64;
-        Some(match op {
-            AluOp::Add => width.wrap(wa.wrapping_add(wb), signed),
-            AluOp::Sub => width.wrap(wa.wrapping_sub(wb), signed),
-            AluOp::Mul => width.wrap(wa.wrapping_mul(wb), signed),
-            AluOp::Div => {
-                if wb == 0 {
-                    return None;
-                }
-                if signed {
-                    width.wrap(wa.wrapping_div(wb), true)
-                } else {
-                    width.wrap((ua / ub) as i64, false)
-                }
-            }
-            AluOp::Mod => {
-                if wb == 0 {
-                    return None;
-                }
-                if signed {
-                    width.wrap(wa.wrapping_rem(wb), true)
-                } else {
-                    width.wrap((ua % ub) as i64, false)
-                }
-            }
-            AluOp::And => width.wrap(wa & wb, signed),
-            AluOp::Or => width.wrap(wa | wb, signed),
-            AluOp::Xor => width.wrap(wa ^ wb, signed),
-            AluOp::Shl => width.wrap(wa.wrapping_shl((ub & 31) as u32), signed),
-            AluOp::Shr => {
-                if signed {
-                    width.wrap(wa.wrapping_shr((ub & 31) as u32), true)
-                } else {
-                    width.wrap((ua >> (ub & 31)) as i64, false)
-                }
-            }
-            AluOp::Eq => (wa == wb) as i64,
-            AluOp::Ne => (wa != wb) as i64,
-            AluOp::Lt => {
-                if signed {
-                    (wa < wb) as i64
-                } else {
-                    (ua < ub) as i64
-                }
-            }
-            AluOp::Le => {
-                if signed {
-                    (wa <= wb) as i64
-                } else {
-                    (ua <= ub) as i64
-                }
-            }
-        })
     }
 
     pub(crate) fn do_call(&mut self, func: u32, is_irq: bool) {
@@ -752,7 +747,7 @@ impl Machine {
             self.fail(Fault::StackOverflow);
             return;
         }
-        let depth = self.sram_end.wrapping_sub(new_sp);
+        let depth = self.map.sram_end.wrapping_sub(new_sp);
         if depth > self.stack_peak {
             self.stack_peak = depth;
         }
@@ -818,14 +813,11 @@ impl Machine {
             let v = self.mmio_read(addr);
             return Some(width.wrap(v as i64, signed));
         }
-        if !self.mapped(addr, width.bytes() as u16) {
+        if !self.map.readable(addr, width.bytes()) {
             self.fail(Fault::MemFault(addr));
             return None;
         }
-        let mut v: u64 = 0;
-        for i in 0..width.bytes() as usize {
-            v |= (self.ram[addr as usize + i] as u64) << (8 * i);
-        }
+        let mut v = self.ram_read(addr, width, false);
         // Torn-read watchpoint: the symmetric hazard — an interrupt
         // between the two bus reads of a 16-bit load hands the reader a
         // half-updated value. Firing corrupts the in-flight value only;
@@ -837,12 +829,12 @@ impl Machine {
                     w.seen += 1;
                     if w.seen == w.nth {
                         w.fired = true;
-                        v ^= (w.mask as u64) << (8 * w.hi as usize);
+                        v ^= (w.mask as i64) << (8 * w.hi as u32);
                     }
                 }
             }
         }
-        Some(width.wrap(v as i64, signed))
+        Some(width.wrap(v, signed))
     }
 
     pub(crate) fn store_mem(&mut self, addr: u16, v: i64, width: Width) {
@@ -853,18 +845,15 @@ impl Machine {
             self.mmio_sync = true;
             return;
         }
-        if addr >= 0x8000 {
+        if addr >= FLASH_BASE {
             self.fail(Fault::IllegalWrite(addr));
             return;
         }
-        if !self.mapped(addr, width.bytes() as u16) {
+        if !self.map.writable(addr, width.bytes()) {
             self.fail(Fault::MemFault(addr));
             return;
         }
-        let uv = width.wrap(v, false) as u64;
-        for i in 0..width.bytes() as usize {
-            self.ram[addr as usize + i] = (uv >> (8 * i)) as u8;
-        }
+        self.ram_write(addr, v, width);
         // Torn-update watchpoint: a 16-bit store with interrupts enabled
         // is exactly the two-bus-write hazard window the watch models.
         if width == Width::W16 && self.irq_enabled {
@@ -882,14 +871,42 @@ impl Machine {
         }
     }
 
-    /// Whether `[addr, addr+len)` is mapped readable memory: SRAM or the
-    /// flash window. The null page and the gap above SRAM fault.
-    fn mapped(&self, addr: u16, len: u16) -> bool {
-        let base = self.sram_base;
-        let end = self.sram_end;
-        let last = addr.checked_add(len - 1);
-        let Some(last) = last else { return false };
-        (addr >= base && last < end) || (0x8000..MMIO_BASE).contains(&addr) && last < MMIO_BASE
+    /// Raw little-endian RAM read (the caller proved the range mapped).
+    #[inline(always)]
+    pub(crate) fn ram_read(&self, addr: u16, width: Width, signed: bool) -> i64 {
+        let a = addr as usize;
+        let v: u64 = match width {
+            Width::W8 => self.ram[a] as u64,
+            Width::W16 => self.ram[a] as u64 | (self.ram[a + 1] as u64) << 8,
+            Width::W32 => {
+                self.ram[a] as u64
+                    | (self.ram[a + 1] as u64) << 8
+                    | (self.ram[a + 2] as u64) << 16
+                    | (self.ram[a + 3] as u64) << 24
+            }
+        };
+        width.wrap(v as i64, signed)
+    }
+
+    /// Raw little-endian RAM write (the caller proved the range
+    /// writable).
+    #[inline(always)]
+    pub(crate) fn ram_write(&mut self, addr: u16, v: i64, width: Width) {
+        let uv = width.wrap(v, false) as u64;
+        let a = addr as usize;
+        match width {
+            Width::W8 => self.ram[a] = uv as u8,
+            Width::W16 => {
+                self.ram[a] = uv as u8;
+                self.ram[a + 1] = (uv >> 8) as u8;
+            }
+            Width::W32 => {
+                self.ram[a] = uv as u8;
+                self.ram[a + 1] = (uv >> 8) as u8;
+                self.ram[a + 2] = (uv >> 16) as u8;
+                self.ram[a + 3] = (uv >> 24) as u8;
+            }
+        }
     }
 
     // ----- devices -----
@@ -1014,6 +1031,84 @@ impl Machine {
                     self.devices.uart.tx_busy = false;
                     self.pending |= 1 << crate::vectors::UART;
                 }
+            }
+        }
+    }
+}
+
+/// The M16 ALU. `None` is a division or remainder by zero: the one
+/// faulting case, which the block decoder leaves to the interpreter.
+#[inline]
+pub(crate) fn alu(op: AluOp, a: i64, b: i64, width: Width, signed: bool) -> Option<i64> {
+    let div = match op {
+        AluOp::Div => true,
+        AluOp::Mod => false,
+        _ => return Some(alu_nodiv(op, a, b, width, signed)),
+    };
+    let wb = width.wrap(b, signed);
+    if wb == 0 {
+        return None;
+    }
+    Some(if signed {
+        let wa = width.wrap(a, true);
+        width.wrap(
+            if div {
+                wa.wrapping_div(wb)
+            } else {
+                wa.wrapping_rem(wb)
+            },
+            true,
+        )
+    } else {
+        let (ua, ub) = (width.wrap(a, false) as u64, wb as u64);
+        width.wrap(if div { ua / ub } else { ua % ub } as i64, false)
+    })
+}
+
+/// Every ALU op but `Div`/`Mod`, which cannot fault: [`alu`] for the
+/// interpreter, and called directly by the block engine's translated
+/// and fused ops (forced inline into its dispatch loop, where LLVM
+/// refuses the `#[inline]` hint).
+///
+/// # Panics
+///
+/// On `Div`/`Mod`: the decoder never translates them into fast ops.
+#[inline(always)]
+pub(crate) fn alu_nodiv(op: AluOp, a: i64, b: i64, width: Width, signed: bool) -> i64 {
+    let wa = width.wrap(a, signed);
+    let wb = width.wrap(b, signed);
+    let ua = width.wrap(a, false) as u64;
+    let ub = width.wrap(b, false) as u64;
+    match op {
+        AluOp::Add => width.wrap(wa.wrapping_add(wb), signed),
+        AluOp::Sub => width.wrap(wa.wrapping_sub(wb), signed),
+        AluOp::Mul => width.wrap(wa.wrapping_mul(wb), signed),
+        AluOp::Div | AluOp::Mod => unreachable!("Div/Mod can fault: only `alu` takes them"),
+        AluOp::And => width.wrap(wa & wb, signed),
+        AluOp::Or => width.wrap(wa | wb, signed),
+        AluOp::Xor => width.wrap(wa ^ wb, signed),
+        AluOp::Shl => width.wrap(wa.wrapping_shl((ub & 31) as u32), signed),
+        AluOp::Shr => {
+            if signed {
+                width.wrap(wa.wrapping_shr((ub & 31) as u32), true)
+            } else {
+                width.wrap((ua >> (ub & 31)) as i64, false)
+            }
+        }
+        AluOp::Eq => (wa == wb) as i64,
+        AluOp::Ne => (wa != wb) as i64,
+        AluOp::Lt => {
+            if signed {
+                (wa < wb) as i64
+            } else {
+                (ua < ub) as i64
+            }
+        }
+        AluOp::Le => {
+            if signed {
+                (wa <= wb) as i64
+            } else {
+                (ua <= ub) as i64
             }
         }
     }
